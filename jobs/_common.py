@@ -1,9 +1,7 @@
 """Shared helpers for the spark-submit job entrypoints.
 
-Each job wraps one evaluation-table runner (DESIGN.md T1-T8) so that
-``spark-submit jobs/table<N>_*.py`` regenerates that table at benchmark
-scale and prints it. The functions under ``repro.evaluation.tables`` are
-the real implementation; jobs only build the session and print.
+``jobs/run_table.py N`` wraps the evaluation-table runners (DESIGN.md
+T1-T8); ``jobs/monilog_stream.py`` is the end-to-end streaming demo.
 """
 import pandas as pd
 from pyspark.sql import SparkSession

@@ -4,10 +4,12 @@
 
 1. **Parse** — distributed Drain (with §IV structured-data extraction)
    turns the raw message stream into ``(cluster_id, template)``;
-2. **Detect** — Spark sessionization structures sequences, the trained
-   sequential (n-gram/DeepLog-style) + quantitative models score them
-   (distributed via broadcast + ``mapInPandas``) and anomalous sessions
-   become :class:`AnomalyReport`;
+2. **Detect** — one Spark ``groupBy(session_id)`` collects each
+   session's lines; :func:`~repro.detect.scoring.score_sessions`, the
+   single scoring path shared with streaming stage B, orders them by event
+   time and applies the sequential (n-gram/DeepLog-style) and
+   quantitative models (broadcast, partition-parallel in
+   ``mapInPandas``); anomalous sessions become :class:`AnomalyReport`;
 3. **Classify** — the §V classifier assigns each report a pool and a
    criticality, learning passively from admin actions.
 
@@ -16,8 +18,9 @@ regime the paper argues for in §III (labelled anomalies are rare and
 injecting them is error-prone).
 
 The batch API here is the unit of the streaming pipeline: Structured
-Streaming drives exactly these functions per micro-batch / closed
-window (see :mod:`repro.streaming.pipeline`).
+Streaming parses each micro-batch with the same parser and scores each
+micro-batch of closed session windows with the same ``score_sessions``
+(see :mod:`repro.streaming.pipeline`).
 """
 from __future__ import annotations
 
@@ -25,15 +28,21 @@ import dataclasses
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.classify.classifier import AnomalyClassifier
-from repro.classify.pools import AnomalyReport, PoolSystem, make_report
+from repro.classify.pools import AnomalyReport, PoolSystem
 from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
-from repro.detect.scoring import score_sequences
-from repro.detect.sequences import session_sequences
+from repro.detect.scoring import (LINE_FIELDS, PRED_COLUMNS, SCORED_SCHEMA,
+                                  score_sessions, session_reports)
 from repro.parsing.distributed import parse_distributed
 from repro.parsing.drain import extract_variables
+from repro.parsing.preprocess import preprocess
+# perfbench's traced runs patch these names on this module, so they stay
+# importable here although nothing here calls them
+from repro.detect.scoring import score_sequences  # noqa: F401
+from repro.detect.sequences import session_sequences  # noqa: F401
 
 
 @dataclasses.dataclass
@@ -67,25 +76,19 @@ class MoniLog:
             raw, depth=cfg.depth, st=cfg.st, structured=cfg.structured)
         return parsed
 
-    @staticmethod
-    def _event_col(parsed: DataFrame) -> DataFrame:
-        # the parser's template is the event identity for detection; it is
-        # stable across runs (unlike cluster ids, which depend on order)
-        return parsed.withColumnRenamed("template", "event_template")
-
     # -- step 2: detection ------------------------------------------------
     def fit(self, train_raw: DataFrame) -> "MoniLog":
-        """Train sequential + quantitative models on a normal stream."""
-        parsed = self._event_col(self.parse(train_raw))
-        seqs = session_sequences(parsed, event_col="event_template").toPandas()
-        self.seq_model.fit([list(s) for s in seqs["events"]])
-        rows = parsed.select("event_template", "message").toPandas()
-        from repro.parsing.preprocess import preprocess
+        """Train sequential + quantitative models on a normal stream. The
+        parser's template is the event identity: unlike cluster ids, it
+        does not depend on parse order."""
+        lines = (self.parse(train_raw)
+                 .select("session_id", "ts", "line_id", "template", "message")
+                 .toPandas()
+                 .sort_values(["session_id", "ts", "line_id"]))
+        self.seq_model.fit(lines.groupby("session_id", sort=False)["template"].agg(list))
         self.quant_model.fit(
-            (r.event_template,
-             extract_variables(r.event_template,
-                               preprocess(r.message, structured=self.config.structured)))
-            for r in rows.itertuples())
+            (t, extract_variables(t, preprocess(m, structured=self.config.structured)))
+            for t, m in zip(lines["template"], lines["message"]))
         self._fitted = True
         return self
 
@@ -93,34 +96,18 @@ class MoniLog:
         """Score a stream; returns (per-session predictions, reports)."""
         if not self._fitted:
             raise RuntimeError("call fit() before detect()")
-        parsed = self._event_col(self.parse(raw))
-        seq_df = session_sequences(parsed, event_col="event_template")
-        seq_pred = score_sequences(seq_df, self.seq_model).toPandas()
+        sessions = (self.parse(raw).groupBy("session_id")
+                    .agg(F.collect_list(F.struct(*LINE_FIELDS)).alias("lines")))
+        sc = self.spark.sparkContext
+        b_seq, b_quant = sc.broadcast(self.seq_model), sc.broadcast(self.quant_model)
+        structured = self.config.structured
 
-        from repro.parsing.preprocess import preprocess
-        lines = parsed.select("session_id", "source", "level",
-                              "event_template", "message").toPandas()
-        quant_flags: dict[str, bool] = {}
-        for r in lines.itertuples():
-            if quant_flags.get(r.session_id):
-                continue
-            values = extract_variables(
-                r.event_template, preprocess(r.message, structured=self.config.structured))
-            if self.quant_model.line_flag(r.event_template, values):
-                quant_flags[r.session_id] = True
-        preds = seq_pred.rename(columns={"pred": "seq_pred"}).copy()
-        preds["quant_pred"] = [int(quant_flags.get(s, False)) for s in preds["session_id"]]
-        preds["pred"] = ((preds["seq_pred"] == 1) | (preds["quant_pred"] == 1)).astype(int)
+        def _score(batches):
+            for pdf in batches:
+                yield score_sessions(pdf, b_seq.value, b_quant.value, structured=structured)
 
-        by_session = lines.groupby("session_id")
-        reports: list[AnomalyReport] = []
-        for r in preds[preds["pred"] == 1].itertuples():
-            sess = by_session.get_group(r.session_id)
-            detector = "quant" if (r.quant_pred and not r.seq_pred) else "seq"
-            reports.append(make_report(
-                r.session_id, sess["source"].iloc[0],
-                sess["event_template"].tolist(), sess["level"].tolist(), detector))
-        return preds, reports
+        scored = sessions.mapInPandas(_score, schema=SCORED_SCHEMA).toPandas()
+        return scored[PRED_COLUMNS], session_reports(scored)
 
     # -- step 3: classification -------------------------------------------
     def classify(self, reports: list[AnomalyReport]) -> list[tuple[AnomalyReport, str, str]]:

@@ -10,8 +10,9 @@ flag iff ``|x - median| > k * (1.4826 * MAD + eps)``. Only numeric
 variable slots are modelled; categorical slots (IPs, hosts) pass.
 
 A session is quantitatively anomalous iff any of its lines has an
-out-of-range value; detectors combine this with a sequential model via
-:func:`combine` (DeepLog's architecture: either model may raise).
+out-of-range value (:meth:`ValueRangeDetector.session_flag`);
+:func:`repro.detect.scoring.score_sessions` ORs this with the sequential
+model (DeepLog's architecture: either model may raise).
 """
 from __future__ import annotations
 
@@ -84,8 +85,3 @@ class ValueRangeDetector:
     def n_models(self) -> int:
         return len(self._models)
 
-
-def combine(seq_flag: bool, quant_flag: bool) -> bool:
-    """DeepLog's composition: a session is anomalous if either the
-    sequential or the quantitative model raises."""
-    return bool(seq_flag or quant_flag)

@@ -56,13 +56,6 @@ def time_window_sequences(df: DataFrame, *, window: str = "30 seconds",
     return agg
 
 
-def sequences_to_pandas(seq_df: DataFrame) -> pd.DataFrame:
-    """Collect a sequences frame: columns session_id, events(list), label."""
-    pdf = seq_df.toPandas()
-    pdf["events"] = pdf["events"].apply(list)
-    return pdf
-
-
 def count_matrix(seq_pdf: pd.DataFrame, vocab: list[str] | None = None,
                  *, unknown_bucket: bool = False
                  ) -> tuple[np.ndarray, list[str], np.ndarray, list[str]]:

@@ -66,16 +66,6 @@ def value_rows(pdf: pd.DataFrame):
         yield r.event_id, (r.values.split("\x1f") if r.values else [])
 
 
-def _quant_session_flags(model: ValueRangeDetector, pdf: pd.DataFrame) -> dict[str, bool]:
-    flags: dict[str, bool] = {}
-    for r in pdf.itertuples():
-        if flags.get(r.session_id):
-            continue
-        if model.line_flag(r.event_id, r.values.split("\x1f") if r.values else []):
-            flags[r.session_id] = True
-    return flags
-
-
 def _counts(train_seq: pd.DataFrame, test_seq: pd.DataFrame):
     Xtr, vocab, _, _ = count_matrix(train_seq, unknown_bucket=True)
     Xte, _, yte, _ = count_matrix(test_seq, vocab, unknown_bucket=True)
@@ -114,8 +104,9 @@ def run_table1(spark: SparkSession, *, n_train: int = 1500, n_test: int = 600,
         add("DeepLog-seq (n-gram)", p_seq, "anomaly-free")
 
         qm = ValueRangeDetector().fit(value_rows(train))
-        qflags = _quant_session_flags(qm, test)
-        p_full = [int(a or qflags.get(s, False))
+        qflags = {sid: qm.session_flag(value_rows(sess))
+                  for sid, sess in test.groupby("session_id")}
+        p_full = [int(a or qflags[s])
                   for a, s in zip(p_seq, stest["session_id"])]
         add("MoniLog core (seq+quant)", p_full, "anomaly-free")
 

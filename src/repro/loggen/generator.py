@@ -148,7 +148,3 @@ def raw_line(row: pd.Series) -> str:
     stamp = ts.strftime("%Y-%m-%d %H:%M:%S") + f",{ts.microsecond // 1000:03d}"
     return f"{stamp} - {row['source']} - {row['level']} - {row['message']}"
 
-
-def to_spark(spark, pdf: pd.DataFrame):
-    """Stream rows as a Spark DataFrame (event-time columns as timestamps)."""
-    return spark.createDataFrame(pdf)

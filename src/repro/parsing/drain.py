@@ -99,20 +99,28 @@ class Drain:
         leaf = node[last]
         return leaf
 
-    # -- public API -------------------------------------------------------
-    def parse(self, message: str) -> tuple[int, str]:
-        """Assign ``message`` to a cluster, updating the tree; returns the
-        cluster id and the cluster's (possibly just-generalised) template."""
+    def _tokens(self, message: str) -> list[str]:
         if self.preprocess is not None:
             message = self.preprocess(message)
-        toks = tokenize(message)
-        leaf = self._route(toks, create=True)
+        return tokenize(message)
+
+    def _best_match(self, leaf: list[Cluster], toks: list[str]) -> Cluster | None:
+        """The most similar leaf cluster (first one on ties), if it reaches ``st``."""
         best, best_sim = None, -1.0
         for cl in leaf:
             sim = _similarity(cl.tokens, toks)
             if sim > best_sim:
                 best, best_sim = cl, sim
-        if best is not None and best_sim >= self.st:
+        return best if best_sim >= self.st else None
+
+    # -- public API -------------------------------------------------------
+    def parse(self, message: str) -> tuple[int, str]:
+        """Assign ``message`` to a cluster, updating the tree; returns the
+        cluster id and the cluster's (possibly just-generalised) template."""
+        toks = self._tokens(message)
+        leaf = self._route(toks, create=True)
+        best = self._best_match(leaf, toks)
+        if best is not None:
             # merge: mismatching positions become wildcards
             best.tokens = [a if (a == b or a == WILDCARD) else WILDCARD
                            for a, b in zip(best.tokens, toks)]
@@ -137,20 +145,9 @@ class Drain:
     def match_only(self, message: str) -> tuple[int, str] | None:
         """Match without mutating the tree (used by streaming executors
         working against a broadcast snapshot)."""
-        if self.preprocess is not None:
-            message = self.preprocess(message)
-        toks = tokenize(message)
-        leaf = self._route(toks, create=False)
-        if not leaf:
-            return None
-        best, best_sim = None, -1.0
-        for cl in leaf:
-            sim = _similarity(cl.tokens, toks)
-            if sim > best_sim:
-                best, best_sim = cl, sim
-        if best is not None and best_sim >= self.st:
-            return best.cluster_id, best.template
-        return None
+        toks = self._tokens(message)
+        best = self._best_match(self._route(toks, create=False) or [], toks)
+        return None if best is None else (best.cluster_id, best.template)
 
 
 def extract_variables(template: str, message: str) -> list[str]:

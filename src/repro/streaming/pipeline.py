@@ -12,10 +12,12 @@ aggregation paths — DESIGN.md substitution 4):
 * **Stage B — structure + detect + classify**: a parquet file stream of
   structured records is watermarked on event time and aggregated with
   ``session_window`` (MoniLog's "windowed aggregation for sequence
-  structuring"); each *closed* session window is scored by the
-  broadcast sequential + quantitative models in ``foreachBatch``, and
-  every anomalous session becomes an :class:`AnomalyReport` routed
-  through the §V classifier.
+  structuring"); in ``foreachBatch`` each micro-batch of *closed*
+  session windows is collected and scored on the driver by
+  :func:`~repro.detect.scoring.score_sessions` — the same function
+  ``MoniLog.detect`` runs partition-parallel — and every anomalous
+  session becomes an :class:`AnomalyReport` routed through the §V
+  classifier.
 
 Event identity across micro-batches is the *template string* (cluster
 ids are batch-local); templates converge quickly, and unseen templates
@@ -33,11 +35,15 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.classify.pools import AnomalyReport, make_report
+from repro.classify.pools import AnomalyReport
 from repro.core.monilog import MoniLog
+from repro.detect.scoring import (LINE_FIELDS, PRED_COLUMNS, score_sessions,
+                                  session_reports)
 from repro.parsing.distributed import parse_distributed
-from repro.parsing.drain import extract_variables
-from repro.parsing.preprocess import preprocess
+# perfbench's traced runs patch these names on this module, so they stay
+# importable here although nothing here calls them
+from repro.parsing.drain import extract_variables  # noqa: F401
+from repro.parsing.preprocess import preprocess  # noqa: F401
 
 RAW_SCHEMA = T.StructType([
     T.StructField("line_id", T.LongType()),
@@ -129,34 +135,18 @@ class StreamingMoniLog:
     # -- stage B ----------------------------------------------------------
     def _score_batch(self, batch_df: DataFrame, batch_id: int) -> None:
         pdf = batch_df.toPandas()
+        pdf = pdf[pdf["session_id"] != FLUSH_SESSION]
         if pdf.empty:
             return
-        seqm = self.monilog.seq_model
-        quantm = self.monilog.quant_model
-        structured = self.monilog.config.structured
-        for r in pdf.itertuples():
-            if r.session_id == FLUSH_SESSION:
-                continue
-            lines = sorted(list(r.lines), key=lambda s: (s["ts"], s["line_id"]))
-            events = [s["template"] for s in lines]
-            seq_flag = seqm.is_anomalous(events)
-            quant_flag = any(
-                quantm.line_flag(s["template"], extract_variables(
-                    s["template"], preprocess(s["message"], structured=structured)))
-                for s in lines)
-            pred = int(seq_flag or quant_flag)
+        ml = self.monilog
+        scored = score_sessions(pdf, ml.seq_model, ml.quant_model,
+                                structured=ml.config.structured)
+        with self._lock:
+            self.results.extend(scored[PRED_COLUMNS].to_dict("records"))
+        for report in session_reports(scored):
+            ml.classifier.ingest(ml.pools, route=True, report=report)
             with self._lock:
-                self.results.append({"session_id": r.session_id, "pred": pred,
-                                     "seq_pred": int(seq_flag),
-                                     "quant_pred": int(quant_flag)})
-            if pred:
-                report = make_report(r.session_id, lines[0]["source"], events,
-                                     [s["level"] for s in lines],
-                                     "quant" if (quant_flag and not seq_flag) else "seq")
-                pool, level = self.monilog.classifier.ingest(
-                    self.monilog.pools, route=True, report=report)
-                with self._lock:
-                    self.reports.append(report)
+                self.reports.append(report)
 
     # -- wiring -----------------------------------------------------------
     def start(self, input_dir: str, *, max_files_per_trigger: int = 1):
@@ -177,8 +167,7 @@ class StreamingMoniLog:
                     .withWatermark("ts", self.watermark)
                     .groupBy(F.session_window(F.col("ts"), self.session_gap),
                              F.col("session_id"))
-                    .agg(F.collect_list(F.struct("ts", "line_id", "source", "level",
-                                                 "message", "template")).alias("lines")))
+                    .agg(F.collect_list(F.struct(*LINE_FIELDS)).alias("lines")))
         q_detect = (sessions.writeStream
                     .outputMode("append")
                     .foreachBatch(self._score_batch)

@@ -84,3 +84,17 @@ def test_run_full_pipeline(spark, fitted):
 def test_config_defaults():
     cfg = MoniLogConfig()
     assert cfg.g == 9 and cfg.structured
+
+
+def test_reports_follow_event_time_on_shuffled_input(spark, fitted):
+    # jitter makes arrival (line_id) order differ from event-time order
+    test = generate(StreamSpec(n_sessions=150, n_sources=2, anomaly_rate=0.1,
+                               jitter_s=1.0, seed=71))
+    df = spark.createDataFrame(test.sample(frac=1, random_state=0))
+    _, reports = fitted.detect(df)
+    assert reports
+    parsed = fitted.parse(df).toPandas().sort_values(["ts", "line_id"])
+    expect = parsed.groupby("session_id")[["template", "level"]].agg(tuple)
+    for r in reports:
+        assert r.events == expect.at[r.session_id, "template"]
+        assert r.levels == expect.at[r.session_id, "level"]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.detect.quantitative import ValueRangeDetector, combine
+from repro.detect.quantitative import ValueRangeDetector
 
 
 def _train_rows(n=100, seed=0):
@@ -77,10 +77,3 @@ def test_k_controls_sensitivity():
 def test_n_models_counts_slots(trained):
     assert trained.n_models() == 1  # only the numeric slot
 
-
-@pytest.mark.parametrize("a,b,expect", [
-    (False, False, False), (True, False, True),
-    (False, True, True), (True, True, True),
-])
-def test_combine(a, b, expect):
-    assert combine(a, b) is expect

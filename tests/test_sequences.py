@@ -126,19 +126,3 @@ def test_count_matrix_unknown_bucket_idempotent_vocab(stream):
     np.testing.assert_array_equal(X1, X2)
     assert y[0] == 1
 
-
-def test_tpch_oracle_sanity(spark):
-    # the provided TPC-H-lite generators + oracle work in this session
-    from repro.synth_data import lineitem
-    li = lineitem(spark, sf=0.001)
-    got = (li.groupBy("l_returnflag")
-             .agg(F.count("*").alias("n"),
-                  F.round(F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))), 2)
-                   .alias("revenue")))
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, count(*) AS n, "
-        "round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue "
-        "FROM li GROUP BY l_returnflag",
-        li=li,
-    )
