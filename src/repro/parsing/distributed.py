@@ -2,17 +2,21 @@
 
 Drain keeps one mutable parse tree, so it does not distribute as-is. The
 scheme here ("distributed version of research tree-based log parsing
-method") runs in two phases over a Spark DataFrame of messages:
+method") makes one parse pass over a Spark DataFrame of messages:
 
-1. **Partition-local parse** (``mapInPandas``): each partition grows its
-   own Drain tree and emits ``(line_id, local template)``. Embarrassingly
-   parallel; no shared state.
-2. **Driver-side template merge**: the per-partition template catalogues
-   (tiny — hundreds of strings, not millions of lines) are folded into a
-   single global Drain tree by re-parsing the *templates*; each local
-   template maps to a global cluster id. A second narrow transformation
-   (a broadcast-join on the local template string) rewrites line
-   assignments to global ids and the merged global template.
+1. **Partition-local parse** (``mapInPandas``): each partition grows one
+   Drain tree over all of its rows and tags every row, with all of its
+   columns, with its cluster's *final* local template. Embarrassingly
+   parallel; no shared state; the result does not depend on how Arrow
+   batches the partition. It is materialised once (``localCheckpoint``),
+   so the catalogue and the caller read the same parse.
+2. **Driver-side template merge**: the distinct local templates (tiny —
+   hundreds of strings, not millions of lines) are folded, in sorted
+   order, into a single global Drain tree by re-parsing the *templates*;
+   each local template maps to a global cluster id. One broadcast join on
+   the local template string then gives every row its global id and
+   merged template. There is no join back on ``line_id``, so every input
+   row, duplicates included, yields exactly one output row.
 
 Merging templates instead of lines preserves Drain's clustering
 semantics (two local templates merge iff Drain itself would put them in
@@ -27,87 +31,77 @@ from typing import Iterator
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.parsing.drain import Drain
+from repro.parsing.preprocess import preprocess
+
+
+def _drain(depth: int, st: float, structured: bool, mask: bool) -> Drain:
+    return Drain(depth=depth, st=st,
+                 preprocess=lambda m: preprocess(m, structured=structured, mask=mask))
+
+
+def _final_templates(parser: Drain, ids) -> list[str]:
+    """The template of each id's cluster after the last parse, not the
+    snapshot at parse time, so every member of a cluster gets one text."""
+    final = {c.cluster_id: c.template for c in parser.clusters}
+    return [final[c] for c in ids]
 
 
 def _local_parse_factory(depth: int, st: float, structured: bool, mask: bool):
     def local_parse(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from repro.parsing.preprocess import preprocess
-
-        parser = Drain(depth=depth, st=st,
-                       preprocess=lambda m: preprocess(m, structured=structured, mask=mask))
-        for pdf in batches:
-            ids, templates = [], []
-            for msg in pdf["message"]:
-                cid, tpl = parser.parse(msg)
-                ids.append(cid)
-                templates.append(tpl)
-            out = pdf[["line_id"]].copy()
-            # the final (most generalised) template of each local cluster,
-            # not the snapshot at parse time, so merging sees stable text
-            final = {c.cluster_id: c.template for c in parser.clusters}
-            out["local_template"] = [final[c] for c in ids]
-            yield out
+        parts = list(batches)
+        if not parts:  # an empty partition gets no batch
+            return
+        pdf = pd.concat(parts, ignore_index=True)
+        parser = _drain(depth, st, structured, mask)
+        ids = [cid for cid, _ in parser.parse_many(pdf["message"])]
+        pdf["local_template"] = _final_templates(parser, ids)
+        yield pdf
 
     return local_parse
 
 
 def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
-                      structured: bool = True, mask: bool = False,
-                      merge_st: float | None = None) -> tuple[DataFrame, dict[str, tuple[int, str]]]:
-    """Parse ``df`` (columns ``line_id``, ``message``) with distributed
-    Drain. Returns ``(parsed_df, mapping)`` where ``parsed_df`` adds
-    ``cluster_id``/``template`` columns and ``mapping`` is the local
-    template -> (global id, global template) fold.
-
-    ``merge_st`` is the similarity threshold of the merge tree (defaults
-    to ``st``); the merge parses template strings, so ``<*>`` tokens in a
-    local template match anything in the global tree.
+                      structured: bool = True,
+                      mask: bool = False) -> tuple[DataFrame, dict[str, tuple[int, str]]]:
+    """Parse ``df`` (with at least a ``message`` column) with distributed
+    Drain. Returns ``(parsed_df, mapping)`` where ``parsed_df`` is ``df``
+    row for row plus ``cluster_id``/``template`` columns and ``mapping``
+    is the local template -> (global id, global template) fold. The merge
+    tree uses the same ``st``; it parses template strings, so ``<*>``
+    tokens in a local template match anything in the global tree.
     """
-    schema = "line_id long, local_template string"
-    local = df.mapInPandas(_local_parse_factory(depth, st, structured, mask), schema=schema)
-    local = local.persist()
-    try:
-        catalogue = [r["local_template"] for r in
-                     local.select("local_template").distinct().collect()]
-        merger = Drain(depth=depth, st=merge_st if merge_st is not None else st)
-        mapping: dict[str, tuple[int, str]] = {}
-        for tpl in sorted(catalogue):  # deterministic merge order
-            gid, _ = merger.parse(tpl)
-            mapping[tpl] = (gid, "")
-        final = {c.cluster_id: c.template for c in merger.clusters}
-        mapping = {tpl: (gid, final[gid]) for tpl, (gid, _) in mapping.items()}
-        spark = df.sparkSession
-        map_df = spark.createDataFrame(
-            [(tpl, gid, gtpl) for tpl, (gid, gtpl) in mapping.items()],
-            schema="local_template string, cluster_id long, template string",
-        )
-        joined = (local.join(F.broadcast(map_df), on="local_template", how="left")
-                  .select("line_id", "cluster_id", "template"))
-        # parser output *replaces* any pre-existing cluster_id/template
-        # column (e.g. the generator's ground-truth template column)
-        base = df.drop("cluster_id", "template")
-        out = base.join(joined, on="line_id", how="inner")
-        return out, mapping
-    finally:
-        local.unpersist()
+    # parser output *replaces* any pre-existing cluster_id/template
+    # column (e.g. the generator's ground-truth template column)
+    base = df.drop("cluster_id", "template")
+    schema = T.StructType(base.schema.fields
+                          + [T.StructField("local_template", T.StringType())])
+    # eager: the catalogue below and the caller read this one parse; Spark
+    # frees the checkpoint once the returned frame is unreachable
+    local = base.mapInPandas(_local_parse_factory(depth, st, structured, mask),
+                             schema=schema).localCheckpoint()
+    catalogue = sorted(r["local_template"] for r in  # deterministic merge order
+                       local.select("local_template").distinct().collect())
+    merger = Drain(depth=depth, st=st)
+    gids = [gid for gid, _ in merger.parse_many(catalogue)]
+    mapping = dict(zip(catalogue, zip(gids, _final_templates(merger, gids))))
+    map_df = df.sparkSession.createDataFrame(
+        [(tpl, gid, gtpl) for tpl, (gid, gtpl) in mapping.items()],
+        schema="local_template string, cluster_id long, template string",
+    )
+    out = (local.join(F.broadcast(map_df), on="local_template", how="left")
+           .select(*base.columns, "cluster_id", "template"))
+    return out, mapping
 
 
 def parse_single_node(df: DataFrame, *, depth: int = 4, st: float = 0.5,
                       structured: bool = True, mask: bool = False) -> tuple[pd.DataFrame, Drain]:
     """Reference single-node parse of the same frame (collect + one tree);
     the baseline T8 compares the distributed variant's throughput against."""
-    from repro.parsing.preprocess import preprocess
-
     pdf = df.select("line_id", "message").toPandas()
-    parser = Drain(depth=depth, st=st,
-                   preprocess=lambda m: preprocess(m, structured=structured, mask=mask))
-    ids = []
-    for msg in pdf["message"]:
-        cid, _ = parser.parse(msg)
-        ids.append(cid)
-    final = {c.cluster_id: c.template for c in parser.clusters}
-    pdf["cluster_id"] = ids
-    pdf["template"] = [final[c] for c in ids]
+    parser = _drain(depth, st, structured, mask)
+    pdf["cluster_id"] = [cid for cid, _ in parser.parse_many(pdf["message"])]
+    pdf["template"] = _final_templates(parser, pdf["cluster_id"])
     return pdf, parser

@@ -118,17 +118,13 @@ class StreamingMoniLog:
     def _parse_batch(self, batch_df: DataFrame, batch_id: int) -> None:
         if batch_df.isEmpty():
             return
-        flush = batch_df.filter(F.col("session_id") == FLUSH_SESSION)
-        payload = batch_df.filter(F.col("session_id") != FLUSH_SESSION)
-        out = None
-        if not payload.isEmpty():
-            cfg = self.monilog.config
-            parsed, _ = parse_distributed(payload, depth=cfg.depth, st=cfg.st,
-                                          structured=cfg.structured)
-            out = parsed.select(*[f.name for f in RAW_SCHEMA.fields], "template")
-        fl = flush.withColumn("template", F.lit("flush"))
-        out = fl if out is None else out.unionByName(fl)
-        out.write.mode("append").parquet(self.structured_dir)
+        # the one-token flush record gets its own template, "flush", and
+        # stage B drops its session
+        cfg = self.monilog.config
+        parsed, _ = parse_distributed(batch_df, depth=cfg.depth, st=cfg.st,
+                                      structured=cfg.structured)
+        (parsed.select(*RAW_SCHEMA.fieldNames(), "template")
+         .write.mode("append").parquet(self.structured_dir))
         with self._lock:
             self.batches_parsed += 1
 

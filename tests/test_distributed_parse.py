@@ -1,8 +1,9 @@
 """Spark tests for the distributed Drain (parsing.distributed)."""
 import pytest
 
+from repro.loggen import instability
 from repro.loggen.generator import StreamSpec, generate
-from repro.parsing import metrics
+from repro.parsing import distributed, metrics
 from repro.parsing.distributed import parse_distributed, parse_single_node
 
 
@@ -90,3 +91,60 @@ def test_mask_option_runs(spark, stream):
     sdf = spark.createDataFrame(stream[["line_id", "message"]]).repartition(4)
     out, mapping = parse_distributed(sdf, mask=True)
     assert out.count() == len(stream)
+
+
+def test_more_partitions_than_rows(spark, stream):
+    # most partitions are empty and must yield nothing, not fail
+    sdf = spark.createDataFrame(stream[["line_id", "message"]].head(5)).repartition(16)
+    out, _ = parse_distributed(sdf)
+    assert sorted(r["line_id"] for r in out.collect()) == stream["line_id"].head(5).tolist()
+
+
+def test_duplicate_line_ids_conserve_rows(spark, stream):
+    dup, counts = instability.inject(stream, 0.2, kinds=("dup",), seed=5)
+    assert counts["dup"] > 0 and dup["line_id"].duplicated().any()
+    sdf = spark.createDataFrame(dup[["line_id", "message"]]).repartition(8)
+    out, _ = parse_distributed(sdf)
+    got = sorted(r["line_id"] for r in out.select("line_id").collect())
+    assert got == sorted(dup["line_id"])
+
+
+def test_local_templates_independent_of_arrow_batch_size(spark, stream):
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    sdf = spark.createDataFrame(stream[["line_id", "message"]]).repartition(8)
+
+    def run():
+        out, mapping = parse_distributed(sdf)
+        pdf = out.select("line_id", "template").toPandas().sort_values("line_id")
+        return set(mapping), pdf["template"].tolist()
+
+    default = run()
+    old = spark.conf.get(key)
+    try:
+        spark.conf.set(key, "64")
+        small = run()
+    finally:
+        spark.conf.set(key, old)
+    assert small[0] == default[0]
+    assert small[1] == default[1]
+
+
+def test_local_pass_parses_each_line_once(spark, stream, monkeypatch):
+    parsed_lines = spark.sparkContext.accumulator(0)
+    factory = distributed._local_parse_factory
+
+    def counting_factory(*args):
+        local_parse = factory(*args)
+
+        def counted(batches):
+            for pdf in local_parse(batches):
+                parsed_lines.add(len(pdf))
+                yield pdf
+
+        return counted
+
+    monkeypatch.setattr(distributed, "_local_parse_factory", counting_factory)
+    sdf = spark.createDataFrame(stream[["line_id", "message"]]).repartition(8)
+    out, _ = parse_distributed(sdf)
+    assert len(out.toPandas()) == len(stream)
+    assert parsed_lines.value == len(stream)
