@@ -102,18 +102,10 @@ class AnomalyClassifier:
         elif action.kind == "level":
             self.level_head.observe(toks, action.value)
 
-    def ingest(self, pools: PoolSystem, *, route: bool = False,
-               report: AnomalyReport | None = None) -> tuple[str, str] | None:
-        """Optionally route a new report into ``pools`` by prediction and
-        register it; returns the (pool, level) used."""
-        if report is None:
-            return None
+    def ingest(self, pools: PoolSystem, report: AnomalyReport) -> tuple[str, str]:
+        """Register a new report and route it into ``pools`` by prediction;
+        returns the (pool, level) used."""
         self.register(report)
         pool, level = self.classify(report)
-        if route:
-            pools.add(report, pool=pool, criticality=level)
+        pools.add(report, pool=pool, criticality=level)
         return pool, level
-
-    def replay(self, actions: Iterable[PoolAction]) -> None:
-        for a in actions:
-            self.learn_from(a)

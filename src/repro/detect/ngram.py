@@ -88,11 +88,5 @@ class NGramDetector:
         """DeepLog's session rule: anomalous iff any window is flagged."""
         return any(self.window_flags(seq))
 
-    def score(self, seq: Sequence[str]) -> float:
-        """Fraction of flagged windows — a graded score for thresholding
-        experiments; 0.0 for an empty sequence."""
-        flags = self.window_flags(seq)
-        return sum(flags) / len(flags) if flags else 0.0
-
     def predict(self, sequences: Iterable[Sequence[str]]) -> list[int]:
         return [int(self.is_anomalous(s)) for s in sequences]

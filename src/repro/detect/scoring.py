@@ -22,23 +22,20 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.classify.pools import AnomalyReport, make_report
-from repro.parsing.drain import extract_variables
-from repro.parsing.preprocess import preprocess
 
 # fields of each ``lines`` struct a session carries into score_sessions
-LINE_FIELDS = ("ts", "line_id", "source", "level", "message", "template")
+LINE_FIELDS = ("ts", "line_id", "source", "level", "template", "variables")
 PRED_COLUMNS = ["session_id", "seq_pred", "quant_pred", "pred"]
 SCORED_SCHEMA = ("session_id string, seq_pred int, quant_pred int, pred int, "
                  "source string, events array<string>, levels array<string>")
 
 
-def score_sessions(sessions: pd.DataFrame, seq_model, quant_model, *,
-                   structured: bool) -> pd.DataFrame:
+def score_sessions(sessions: pd.DataFrame, seq_model, quant_model) -> pd.DataFrame:
     """Score ``session_id`` + ``lines`` (structs of :data:`LINE_FIELDS`).
 
     Each session's lines are ordered by ``(ts, line_id)``: event time, not
     arrival order, defines the flow. The template sequence goes to
-    ``seq_model.is_anomalous``; each line's variable values go to
+    ``seq_model.is_anomalous``; each line's ``variables`` go to
     ``quant_model.session_flag``. Returns :data:`PRED_COLUMNS` plus, for
     flagged sessions only (None otherwise), the report payload ``source``,
     ``events`` (templates) and ``levels`` in line order.
@@ -48,10 +45,7 @@ def score_sessions(sessions: pd.DataFrame, seq_model, quant_model, *,
         lines = sorted(lines, key=lambda s: (s["ts"], s["line_id"]))
         events = [s["template"] for s in lines]
         seq = seq_model.is_anomalous(events)
-        quant = quant_model.session_flag(
-            (s["template"], extract_variables(
-                s["template"], preprocess(s["message"], structured=structured)))
-            for s in lines)
+        quant = quant_model.session_flag((s["template"], s["variables"]) for s in lines)
         pred = seq or quant
         rows.append((session_id, int(seq), int(quant), int(pred),
                      lines[0]["source"] if pred else None,
@@ -72,28 +66,18 @@ def session_reports(scored: pd.DataFrame) -> list[AnomalyReport]:
 def score_sequences(seq_df: DataFrame, detector,
                     templates: Mapping[str, str] | None = None) -> DataFrame:
     """Score a sequences frame (``session_id``, ``events``, ...) with any
-    detector exposing ``is_anomalous(seq)`` (n-gram) or
-    ``is_anomalous(seq, templates)`` (LogAnomaly) or ``decision(seq)``
-    (semantic, on template-text sequences). Returns
-    ``(session_id, pred int)``.
+    detector exposing ``is_anomalous(seq)`` (n-gram), or
+    ``is_anomalous(seq, templates)`` when ``templates`` is given
+    (LogAnomaly). Returns ``(session_id, pred int)``.
     """
     sc = seq_df.sparkSession.sparkContext
     b_model = sc.broadcast(detector)
-    b_templates = sc.broadcast(dict(templates) if templates else None)
+    b_args = sc.broadcast((dict(templates),) if templates else ())
 
     def _score(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        model = b_model.value
-        tpl = b_templates.value
+        model, args = b_model.value, b_args.value
         for pdf in batches:
-            preds = []
-            for seq in pdf["events"]:
-                seq = list(seq)
-                if tpl is not None and hasattr(model, "matcher"):
-                    preds.append(int(model.is_anomalous(seq, tpl)))
-                elif hasattr(model, "is_anomalous"):
-                    preds.append(int(model.is_anomalous(seq)))
-                else:
-                    preds.append(int(model.decision(seq) > 0))
+            preds = [int(model.is_anomalous(list(seq), *args)) for seq in pdf["events"]]
             yield pd.DataFrame({"session_id": pdf["session_id"], "pred": preds})
 
     return seq_df.mapInPandas(_score, schema="session_id string, pred int")

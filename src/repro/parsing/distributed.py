@@ -22,7 +22,8 @@ Merging templates instead of lines preserves Drain's clustering
 semantics (two local templates merge iff Drain itself would put them in
 one leaf cluster) while touching the driver with O(templates), not
 O(lines) — the scalability property §II requires of every MoniLog
-component.
+component. ``MoniLog.fit`` learns the global tree once this way; every
+later line is tagged against that fixed tree by :func:`match_fitted`.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.parsing.drain import Drain
+from repro.parsing.drain import Drain, extract_variables, tokenize
 from repro.parsing.preprocess import preprocess
 
 
@@ -63,6 +64,15 @@ def _local_parse_factory(depth: int, st: float, structured: bool, mask: bool):
     return local_parse
 
 
+def merge_templates(catalogue: list[str], *, depth: int,
+                    st: float) -> tuple[Drain, dict[str, tuple[int, str]]]:
+    """Fold sorted local templates into one global tree, deterministically;
+    returns it and the local template -> (global id, template) mapping."""
+    merger = Drain(depth=depth, st=st)
+    gids = [gid for gid, _ in merger.parse_many(catalogue)]
+    return merger, dict(zip(catalogue, zip(gids, _final_templates(merger, gids))))
+
+
 def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
                       structured: bool = True,
                       mask: bool = False) -> tuple[DataFrame, dict[str, tuple[int, str]]]:
@@ -84,9 +94,7 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
                              schema=schema).localCheckpoint()
     catalogue = sorted(r["local_template"] for r in  # deterministic merge order
                        local.select("local_template").distinct().collect())
-    merger = Drain(depth=depth, st=st)
-    gids = [gid for gid, _ in merger.parse_many(catalogue)]
-    mapping = dict(zip(catalogue, zip(gids, _final_templates(merger, gids))))
+    _, mapping = merge_templates(catalogue, depth=depth, st=st)
     map_df = df.sparkSession.createDataFrame(
         [(tpl, gid, gtpl) for tpl, (gid, gtpl) in mapping.items()],
         schema="local_template string, cluster_id long, template string",
@@ -94,6 +102,30 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
     out = (local.join(F.broadcast(map_df), on="local_template", how="left")
            .select(*base.columns, "cluster_id", "template"))
     return out, mapping
+
+
+def match_fitted(df: DataFrame, parser: Drain, *, structured: bool) -> DataFrame:
+    """Add ``template``/``variables`` to ``df`` in one narrow pass: each
+    message is preprocessed once and matched against the unchanging global
+    tree. A miss keeps its own tokens, as a new Drain cluster's first line
+    would, and has no variables."""
+    base = df.drop("cluster_id", "template", "variables")
+    schema = T.StructType(base.schema.fields + [
+        T.StructField("template", T.StringType()),
+        T.StructField("variables", T.ArrayType(T.StringType())),
+    ])
+    b_parser = df.sparkSession.sparkContext.broadcast(parser)
+
+    def tag(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        tree = b_parser.value
+        for pdf in batches:
+            texts = [preprocess(m, structured=structured) for m in pdf["message"]]
+            hits = [tree.match_only(t) for t in texts]
+            pdf["template"] = [h[1] if h else " ".join(tokenize(t)) for h, t in zip(hits, texts)]
+            pdf["variables"] = [extract_variables(h[1], t) if h else [] for h, t in zip(hits, texts)]
+            yield pdf
+
+    return base.mapInPandas(tag, schema=schema)
 
 
 def parse_single_node(df: DataFrame, *, depth: int = 4, st: float = 0.5,

@@ -143,8 +143,9 @@ class Drain:
         return len(self._clusters)
 
     def match_only(self, message: str) -> tuple[int, str] | None:
-        """Match without mutating the tree (used by streaming executors
-        working against a broadcast snapshot)."""
+        """The id and template of the cluster ``parse`` would join, None if
+        it would start one; the tree is not changed. ``MoniLog.parse`` tags
+        every line this way against the broadcast tree ``fit`` learned."""
         toks = self._tokens(message)
         best = self._best_match(self._route(toks, create=False) or [], toks)
         return None if best is None else (best.cluster_id, best.template)

@@ -5,10 +5,9 @@ a multi-source file stream (the container has no Kafka; a file source
 exercises the same micro-batch dataflow, watermarking and stateful
 aggregation paths — DESIGN.md substitution 4):
 
-* **Stage A — parse**: a JSON file stream of raw log records is parsed
-  micro-batch by micro-batch inside ``foreachBatch`` with the
-  distributed Drain (partition-local trees + driver merge); the
-  structured stream (template column added) lands in a parquet dir.
+* **Stage A — parse**: inside ``foreachBatch``, ``MoniLog.parse`` matches
+  each micro-batch of raw JSON log records against the tree ``fit``
+  learned; the rows, with ``template``/``variables``, land in parquet.
 * **Stage B — structure + detect + classify**: a parquet file stream of
   structured records is watermarked on event time and aggregated with
   ``session_window`` (MoniLog's "windowed aggregation for sequence
@@ -17,12 +16,12 @@ aggregation paths — DESIGN.md substitution 4):
   :func:`~repro.detect.scoring.score_sessions` — the same function
   ``MoniLog.detect`` runs partition-parallel — and every anomalous
   session becomes an :class:`AnomalyReport` routed through the §V
-  classifier.
+  classifier. A replayed ``batch_id`` is skipped, not scored twice.
 
-Event identity across micro-batches is the *template string* (cluster
-ids are batch-local); templates converge quickly, and unseen templates
-at scoring time are exactly the §III instability case the detectors are
-measured on.
+Event identity is the fitted tree's template string, the same in every
+micro-batch and in batch ``detect``. Stage A discovers no templates: an
+unmatched line is its own, unseen, event — the §III instability case the
+detectors are measured on.
 """
 from __future__ import annotations
 
@@ -39,9 +38,9 @@ from repro.classify.pools import AnomalyReport
 from repro.core.monilog import MoniLog
 from repro.detect.scoring import (LINE_FIELDS, PRED_COLUMNS, score_sessions,
                                   session_reports)
-from repro.parsing.distributed import parse_distributed
 # perfbench's traced runs patch these names on this module, so they stay
 # importable here although nothing here calls them
+from repro.parsing.distributed import parse_distributed  # noqa: F401
 from repro.parsing.drain import extract_variables  # noqa: F401
 from repro.parsing.preprocess import preprocess  # noqa: F401
 
@@ -56,6 +55,7 @@ RAW_SCHEMA = T.StructType([
 
 STRUCTURED_SCHEMA = T.StructType(RAW_SCHEMA.fields + [
     T.StructField("template", T.StringType()),
+    T.StructField("variables", T.ArrayType(T.StringType())),
 ])
 
 FLUSH_SESSION = "__flush__"
@@ -100,7 +100,7 @@ class StreamingMoniLog:
     def __init__(self, monilog: MoniLog, workdir: str, *,
                  session_gap: str = "30 seconds",
                  watermark: str = "10 seconds") -> None:
-        if not monilog._fitted:
+        if monilog.parser is None:
             raise RuntimeError("fit the MoniLog instance before streaming")
         self.monilog = monilog
         self.workdir = workdir
@@ -112,37 +112,33 @@ class StreamingMoniLog:
         self.results: list[dict] = []
         self.reports: list[AnomalyReport] = []
         self.batches_parsed = 0
+        self._scored_batches: set[int] = set()
         self._lock = threading.Lock()
 
     # -- stage A ----------------------------------------------------------
     def _parse_batch(self, batch_df: DataFrame, batch_id: int) -> None:
-        if batch_df.isEmpty():
-            return
-        # the one-token flush record gets its own template, "flush", and
-        # stage B drops its session
-        cfg = self.monilog.config
-        parsed, _ = parse_distributed(batch_df, depth=cfg.depth, st=cfg.st,
-                                      structured=cfg.structured)
-        (parsed.select(*RAW_SCHEMA.fieldNames(), "template")
+        # the one-token flush record matches no fitted template, keeps
+        # "flush" as its own, and stage B drops its session
+        (self.monilog.parse(batch_df).select(*STRUCTURED_SCHEMA.fieldNames())
          .write.mode("append").parquet(self.structured_dir))
         with self._lock:
             self.batches_parsed += 1
 
     # -- stage B ----------------------------------------------------------
     def _score_batch(self, batch_df: DataFrame, batch_id: int) -> None:
+        if batch_id in self._scored_batches:  # at-least-once replay
+            return
         pdf = batch_df.toPandas()
         pdf = pdf[pdf["session_id"] != FLUSH_SESSION]
-        if pdf.empty:
-            return
         ml = self.monilog
-        scored = score_sessions(pdf, ml.seq_model, ml.quant_model,
-                                structured=ml.config.structured)
+        scored = score_sessions(pdf, ml.seq_model, ml.quant_model)
         with self._lock:
             self.results.extend(scored[PRED_COLUMNS].to_dict("records"))
         for report in session_reports(scored):
-            ml.classifier.ingest(ml.pools, route=True, report=report)
+            ml.classifier.ingest(ml.pools, report)
             with self._lock:
                 self.reports.append(report)
+        self._scored_batches.add(batch_id)
 
     # -- wiring -----------------------------------------------------------
     def start(self, input_dir: str, *, max_files_per_trigger: int = 1):

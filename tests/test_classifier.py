@@ -104,20 +104,6 @@ def test_ingest_routes_by_prediction():
     clf = AnomalyClassifier()
     pools = PoolSystem()
     r = _net_report(0)
-    pool, level = clf.ingest(pools, route=True, report=r)
+    pool, level = clf.ingest(pools, r)
     assert pool == DEFAULT_POOL
     assert pools.location(r.report_id) == DEFAULT_POOL
-    assert clf.ingest(pools) is None
-
-
-def test_replay_actions():
-    clf = AnomalyClassifier()
-    pools = PoolSystem()
-    pools.create_pool("network")
-    rs = [_net_report(i) for i in range(3)]
-    for r in rs:
-        clf.register(r)
-        pools.add(r)
-        pools.move(r.report_id, "network")
-    clf.replay(pools.actions)
-    assert clf.classify(_net_report(9))[0] == "network"

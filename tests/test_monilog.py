@@ -26,6 +26,8 @@ def test_detect_requires_fit(spark):
     test = generate(StreamSpec(n_sessions=5, seed=1))
     with pytest.raises(RuntimeError):
         ml.detect(spark.createDataFrame(test))
+    with pytest.raises(RuntimeError):
+        ml.parse(spark.createDataFrame(test))
 
 
 def test_all_sessions_predicted(detection):

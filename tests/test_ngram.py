@@ -20,7 +20,6 @@ def test_constructor_validation():
 
 def test_normal_flow_not_flagged(trained):
     assert not trained.is_anomalous(FLOW)
-    assert trained.score(FLOW) == 0.0
 
 
 def test_unseen_event_flagged(trained):
@@ -79,19 +78,12 @@ def test_window_flags_length(trained):
 
 def test_empty_sequence():
     d = NGramDetector(h=2, g=1, use_eos=False).fit([["a"]])
-    assert d.score([]) == 0.0
     assert not d.is_anomalous([])
 
 
 def test_predict_batches(trained):
     preds = trained.predict([FLOW, ["open", "BAD"]])
     assert preds == [0, 1]
-
-
-def test_score_fraction(trained):
-    bad = ["open", "BAD", "BAD"]
-    s = trained.score(bad)
-    assert 0 < s <= 1
 
 
 def test_g_one_is_strictest():

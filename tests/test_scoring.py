@@ -67,10 +67,9 @@ FLOW = ["start", "send <*> bytes", "stop"]
 
 
 def _line(t, tpl, value=100):
-    msg = tpl.replace("<*>", str(value))
     return {"ts": pd.Timestamp("2020-01-01") + pd.Timedelta(seconds=t), "line_id": t,
             "source": "net", "level": "WARN" if value > 1000 else "INFO",
-            "message": msg, "template": tpl}
+            "template": tpl, "variables": [str(value)] * tpl.count("<*>")}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ def scored():
             [_line(2, FLOW[2]), _line(0, FLOW[0]), _line(1, FLOW[1], 999999)],
         ],
     })
-    return score_sessions(sessions, seq, quant, structured=False).set_index("session_id")
+    return score_sessions(sessions, seq, quant).set_index("session_id")
 
 
 @pytest.mark.parametrize("session_id,seq_pred,quant_pred", [

@@ -2,12 +2,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.monilog import MoniLog
+from repro.detect.scoring import LINE_FIELDS
 from repro.evaluation.labels import prf
 from repro.loggen.generator import StreamSpec, generate
-from repro.streaming.pipeline import (FLUSH_SESSION, StreamingMoniLog,
+from repro.streaming.pipeline import (FLUSH_SESSION, RAW_SCHEMA, StreamingMoniLog,
                                       write_stream_files)
 
 
@@ -80,3 +83,40 @@ def test_reports_and_classification(run):
 def test_multiple_microbatches_processed(run):
     _, sm = run
     assert sm.batches_parsed >= 3
+
+
+@pytest.fixture(scope="module")
+def fitted4(spark):
+    train = generate(StreamSpec(n_sessions=300, n_sources=4, anomaly_rate=0.0, seed=82))
+    test = generate(StreamSpec(n_sessions=80, n_sources=4, anomaly_rate=0.1,
+                               session_spread_s=200.0, seed=83))
+    return MoniLog(spark).fit(spark.createDataFrame(train)), test
+
+
+def _raw(spark, pdf):
+    return spark.createDataFrame(pdf[list(RAW_SCHEMA.fieldNames())], schema=RAW_SCHEMA)
+
+
+def test_stage_a_templates_independent_of_microbatches(spark, fitted4, tmp_path):
+    ml, test = fitted4
+    sm = StreamingMoniLog(ml, str(tmp_path))
+    arrival = test.sort_values("arrival_ts")
+    for batch_id, rows in enumerate(np.array_split(np.arange(len(arrival)), 16)):
+        sm._parse_batch(_raw(spark, arrival.iloc[rows]), batch_id)
+    streamed = spark.read.parquet(sm.structured_dir).select("line_id", "template").toPandas()
+    batch = ml.parse(_raw(spark, test)).select("line_id", "template").toPandas()
+    assert len(streamed) == len(batch) == len(test)
+    assert dict(zip(streamed["line_id"], streamed["template"])) == \
+        dict(zip(batch["line_id"], batch["template"]))
+
+
+def test_replayed_score_batch_counts_once(spark, fitted4, tmp_path):
+    ml, test = fitted4
+    sm = StreamingMoniLog(ml, str(tmp_path))
+    sessions = (ml.parse(_raw(spark, test)).groupBy("session_id")
+                .agg(F.collect_list(F.struct(*LINE_FIELDS)).alias("lines")))
+    sm._score_batch(sessions, 7)
+    first = (list(sm.results), list(sm.reports), ml.pools.stats())
+    assert len(first[0]) == test["session_id"].nunique() and first[1]
+    sm._score_batch(sessions, 7)
+    assert (sm.results, sm.reports, ml.pools.stats()) == first
