@@ -5,12 +5,13 @@
 1. **Parse** — ``fit`` learns a template tree with distributed Drain (with
    §IV structured-data extraction); every line is then matched against it
    once, giving its ``template`` (event identity) and ``variables``;
-2. **Detect** — one Spark ``groupBy(session_id)`` collects each
-   session's lines; :func:`~repro.detect.scoring.score_sessions`, the
-   single scoring path shared with streaming stage B, orders them by event
-   time and applies the sequential (n-gram/DeepLog-style) and
-   quantitative models (broadcast, partition-parallel in
-   ``mapInPandas``); anomalous sessions become :class:`AnomalyReport`;
+2. **Detect** — the raw lines are shuffled once on ``session_id``; one
+   partition-local ``mapInPandas`` pass tags them (the same
+   :func:`~repro.parsing.distributed.tag_lines` as ``parse``) and scores
+   each session with :func:`~repro.detect.scoring.score_sessions`, the
+   single scoring path shared with streaming stage B (event-time order;
+   sequential n-gram/DeepLog-style OR quantitative model, broadcast);
+   anomalous sessions become :class:`AnomalyReport`;
 3. **Classify** — the §V classifier assigns each report a pool and a
    criticality, learning passively from admin actions.
 
@@ -29,15 +30,15 @@ import dataclasses
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.classify.classifier import AnomalyClassifier
 from repro.classify.pools import AnomalyReport, PoolSystem
 from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
-from repro.detect.scoring import (LINE_FIELDS, PRED_COLUMNS, SCORED_SCHEMA,
-                                  score_sessions, session_reports)
-from repro.parsing.distributed import match_fitted, merge_templates, parse_distributed
+from repro.detect.scoring import (PRED_COLUMNS, SCORED_SCHEMA, score_sessions,
+                                  session_reports)
+from repro.parsing.distributed import (match_fitted, merge_templates, parse_distributed,
+                                       tag_lines)
 from repro.parsing.drain import Drain
 # perfbench's traced runs patch these names on this module, so they stay
 # importable here although nothing here calls them
@@ -62,8 +63,8 @@ class MoniLog:
     def __init__(self, spark: SparkSession, config: MoniLogConfig | None = None) -> None:
         self.spark = spark
         self.config = config or MoniLogConfig()
-        self.seq_model = NGramDetector(h=self.config.h, g=self.config.g)
-        self.quant_model = ValueRangeDetector(k=self.config.quant_k)
+        self.seq_model: NGramDetector | None = None
+        self.quant_model: ValueRangeDetector | None = None
         self.classifier = AnomalyClassifier()
         self.pools = PoolSystem()
         self.parser: Drain | None = None  # the template tree, learned by fit
@@ -81,7 +82,9 @@ class MoniLog:
     def fit(self, train_raw: DataFrame) -> "MoniLog":
         """Learn the template tree, then train sequential + quantitative
         models on a normal stream tagged with it. The template is the event
-        identity: unlike cluster ids, it does not depend on parse order."""
+        identity: unlike cluster ids, it does not depend on parse order.
+        A refit replaces the tree and both models: nothing learned from an
+        earlier stream carries over."""
         cfg = self.config
         _, mapping = parse_distributed(train_raw, depth=cfg.depth, st=cfg.st,
                                        structured=cfg.structured)
@@ -90,22 +93,31 @@ class MoniLog:
                  .select("session_id", "ts", "line_id", "template", "variables")
                  .toPandas()
                  .sort_values(["session_id", "ts", "line_id"]))
-        self.seq_model.fit(lines.groupby("session_id", sort=False)["template"].agg(list))
-        self.quant_model.fit(zip(lines["template"], lines["variables"]))
+        self.seq_model = NGramDetector(h=cfg.h, g=cfg.g).fit(
+            lines.groupby("session_id", sort=False)["template"].agg(list))
+        self.quant_model = ValueRangeDetector(k=cfg.quant_k).fit(
+            zip(lines["template"], lines["variables"]))
         return self
 
     def detect(self, raw: DataFrame) -> tuple[pd.DataFrame, list[AnomalyReport]]:
         """Score a stream; returns (per-session predictions, reports)."""
-        sessions = (self.parse(raw).groupBy("session_id")
-                    .agg(F.collect_list(F.struct(*LINE_FIELDS)).alias("lines")))
-        sc = self.spark.sparkContext
-        b_seq, b_quant = sc.broadcast(self.seq_model), sc.broadcast(self.quant_model)
+        if self.parser is None:
+            raise RuntimeError("call fit() first")
+        sc, structured = self.spark.sparkContext, self.config.structured
+        b_tree, b_seq, b_quant = (sc.broadcast(m) for m in
+                                  (self.parser, self.seq_model, self.quant_model))
 
-        def _score(batches):
-            for pdf in batches:
-                yield score_sessions(pdf, b_seq.value, b_quant.value)
+        def run(batches):
+            parts = list(batches)  # a session can span Arrow batches
+            if not parts:  # an empty partition gets no batch
+                return
+            lines = tag_lines(pd.concat(parts, ignore_index=True), b_tree.value,
+                              structured=structured)
+            yield score_sessions(lines, b_seq.value, b_quant.value)
 
-        scored = sessions.mapInPandas(_score, schema=SCORED_SCHEMA).toPandas()
+        scored = (raw.select("session_id", "message", "ts", "line_id", "source", "level")
+                  .repartition("session_id")
+                  .mapInPandas(run, schema=SCORED_SCHEMA).toPandas())
         return scored[PRED_COLUMNS], session_reports(scored)
 
     # -- step 3: classification -------------------------------------------

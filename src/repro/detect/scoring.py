@@ -4,10 +4,12 @@ distributable).
 
 :func:`score_sessions` is the one implementation of MoniLog's step-2 rule
 (DeepLog's composition): a session is anomalous iff the sequential top-g
-model or the quantitative value-range model raises. It is a pure pandas
-function, so ``MoniLog.detect`` runs it partition-parallel in
-``mapInPandas`` and streaming stage B runs it on the driver over a
-micro-batch of closed session windows.
+model or the quantitative value-range model raises. It takes flat tagged
+lines (one row per line, carrying its ``session_id``) and uses only
+pandas and the models, so ``MoniLog.detect`` runs it partition-parallel
+in ``mapInPandas``, after one shuffle that puts every line of a session
+in one partition, and streaming stage B runs it on the driver over the
+flattened lines of a micro-batch of closed session windows.
 
 Training stays on the driver (models are small: flow tables, centroids,
 a weight vector); *scoring* is the per-line/per-session hot path, so it
@@ -18,39 +20,44 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.classify.pools import AnomalyReport, make_report
 
-# fields of each ``lines`` struct a session carries into score_sessions
+# the per-line columns score_sessions reads, besides session_id
 LINE_FIELDS = ("ts", "line_id", "source", "level", "template", "variables")
 PRED_COLUMNS = ["session_id", "seq_pred", "quant_pred", "pred"]
 SCORED_SCHEMA = ("session_id string, seq_pred int, quant_pred int, pred int, "
                  "source string, events array<string>, levels array<string>")
 
 
-def score_sessions(sessions: pd.DataFrame, seq_model, quant_model) -> pd.DataFrame:
-    """Score ``session_id`` + ``lines`` (structs of :data:`LINE_FIELDS`).
+def score_sessions(lines: pd.DataFrame, seq_model, quant_model) -> pd.DataFrame:
+    """Score flat tagged lines (``session_id`` + :data:`LINE_FIELDS`), one
+    row per session.
 
-    Each session's lines are ordered by ``(ts, line_id)``: event time, not
-    arrival order, defines the flow. The template sequence goes to
-    ``seq_model.is_anomalous``; each line's ``variables`` go to
-    ``quant_model.session_flag``. Returns :data:`PRED_COLUMNS` plus, for
-    flagged sessions only (None otherwise), the report payload ``source``,
-    ``events`` (templates) and ``levels`` in line order.
+    Lines are ordered by ``(session_id, ts, line_id)`` in one sort: event
+    time, not arrival order, defines each flow. A session's template
+    sequence goes to ``seq_model.is_anomalous``; each line's ``variables``
+    go to ``quant_model.session_flag``. Returns :data:`PRED_COLUMNS` plus,
+    for flagged sessions only (None otherwise), the report payload
+    ``source``, ``events`` (templates) and ``levels`` in line order.
     """
+    lines = lines.sort_values(["session_id", "ts", "line_id"])
+    sids = lines["session_id"].to_numpy()
+    events, variables, levels, sources = (lines[c].tolist() for c in
+                                          ("template", "variables", "level", "source"))
+    starts = [0, *(np.flatnonzero(sids[1:] != sids[:-1]) + 1)] if len(sids) else []
     rows = []
-    for session_id, lines in zip(sessions["session_id"], sessions["lines"]):
-        lines = sorted(lines, key=lambda s: (s["ts"], s["line_id"]))
-        events = [s["template"] for s in lines]
-        seq = seq_model.is_anomalous(events)
-        quant = quant_model.session_flag((s["template"], s["variables"]) for s in lines)
+    for a, b in zip(starts, starts[1:] + [len(sids)]):
+        seq = seq_model.is_anomalous(events[a:b])
+        quant = quant_model.session_flag(zip(events[a:b], variables[a:b]))
         pred = seq or quant
-        rows.append((session_id, int(seq), int(quant), int(pred),
-                     lines[0]["source"] if pred else None,
-                     events if pred else None,
-                     [s["level"] for s in lines] if pred else None))
+        rows.append((sids[a], int(seq), int(quant), int(pred),
+                     sources[a] if pred else None,
+                     events[a:b] if pred else None,
+                     levels[a:b] if pred else None))
     return pd.DataFrame(rows, columns=PRED_COLUMNS + ["source", "events", "levels"])
 
 

@@ -23,7 +23,9 @@ semantics (two local templates merge iff Drain itself would put them in
 one leaf cluster) while touching the driver with O(templates), not
 O(lines) — the scalability property §II requires of every MoniLog
 component. ``MoniLog.fit`` learns the global tree once this way; every
-later line is tagged against that fixed tree by :func:`match_fitted`.
+later line is tagged against that fixed tree by :func:`tag_lines`, either
+in :func:`match_fitted`'s narrow pass or inside ``MoniLog.detect``'s
+fused tag-and-score pass.
 """
 from __future__ import annotations
 
@@ -104,11 +106,21 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
     return out, mapping
 
 
+def tag_lines(pdf: pd.DataFrame, tree: Drain, *, structured: bool) -> pd.DataFrame:
+    """Add ``template``/``variables`` to ``pdf``: each message is
+    preprocessed once and matched against the unchanging global tree. A
+    miss keeps its own tokens, as a new Drain cluster's first line would,
+    and has no variables."""
+    texts = [preprocess(m, structured=structured) for m in pdf["message"]]
+    hits = [tree.match_only(t) for t in texts]
+    pdf["template"] = [h[1] if h else " ".join(tokenize(t)) for h, t in zip(hits, texts)]
+    pdf["variables"] = [extract_variables(h[1], t) if h else [] for h, t in zip(hits, texts)]
+    return pdf
+
+
 def match_fitted(df: DataFrame, parser: Drain, *, structured: bool) -> DataFrame:
-    """Add ``template``/``variables`` to ``df`` in one narrow pass: each
-    message is preprocessed once and matched against the unchanging global
-    tree. A miss keeps its own tokens, as a new Drain cluster's first line
-    would, and has no variables."""
+    """Add ``template``/``variables`` to ``df`` in one narrow pass of
+    :func:`tag_lines` against the broadcast tree."""
     base = df.drop("cluster_id", "template", "variables")
     schema = T.StructType(base.schema.fields + [
         T.StructField("template", T.StringType()),
@@ -117,13 +129,8 @@ def match_fitted(df: DataFrame, parser: Drain, *, structured: bool) -> DataFrame
     b_parser = df.sparkSession.sparkContext.broadcast(parser)
 
     def tag(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        tree = b_parser.value
         for pdf in batches:
-            texts = [preprocess(m, structured=structured) for m in pdf["message"]]
-            hits = [tree.match_only(t) for t in texts]
-            pdf["template"] = [h[1] if h else " ".join(tokenize(t)) for h, t in zip(hits, texts)]
-            pdf["variables"] = [extract_variables(h[1], t) if h else [] for h, t in zip(hits, texts)]
-            yield pdf
+            yield tag_lines(pdf, b_parser.value, structured=structured)
 
     return base.mapInPandas(tag, schema=schema)
 

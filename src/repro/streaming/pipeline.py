@@ -12,11 +12,14 @@ aggregation paths — DESIGN.md substitution 4):
   structured records is watermarked on event time and aggregated with
   ``session_window`` (MoniLog's "windowed aggregation for sequence
   structuring"); in ``foreachBatch`` each micro-batch of *closed*
-  session windows is collected and scored on the driver by
+  session windows is flattened back to lines in Spark (``inline``),
+  collected, and scored on the driver by
   :func:`~repro.detect.scoring.score_sessions` — the same function
   ``MoniLog.detect`` runs partition-parallel — and every anomalous
   session becomes an :class:`AnomalyReport` routed through the §V
-  classifier. A replayed ``batch_id`` is skipped, not scored twice.
+  classifier. Scoring groups by ``session_id``, so a session whose
+  lines fall in two windows of one micro-batch gets one verdict. A
+  replayed ``batch_id`` is skipped, not scored twice.
 
 Event identity is the fitted tree's template string, the same in every
 micro-batch and in batch ``detect``. Stage A discovers no templates: an
@@ -128,7 +131,7 @@ class StreamingMoniLog:
     def _score_batch(self, batch_df: DataFrame, batch_id: int) -> None:
         if batch_id in self._scored_batches:  # at-least-once replay
             return
-        pdf = batch_df.toPandas()
+        pdf = batch_df.selectExpr("session_id", "inline(lines)").toPandas()
         pdf = pdf[pdf["session_id"] != FLUSH_SESSION]
         ml = self.monilog
         scored = score_sessions(pdf, ml.seq_model, ml.quant_model)

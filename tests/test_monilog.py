@@ -3,15 +3,17 @@ import pytest
 
 from repro.classify.pools import DEFAULT_POOL
 from repro.core.monilog import MoniLog, MoniLogConfig
+from repro.detect.scoring import PRED_COLUMNS, score_sessions, session_reports
 from repro.evaluation.labels import prf
 from repro.loggen.generator import StreamSpec, generate
 
 
+TRAIN = StreamSpec(n_sessions=400, n_sources=2, anomaly_rate=0.0, seed=70)
+
+
 @pytest.fixture(scope="module")
 def fitted(spark):
-    train = generate(StreamSpec(n_sessions=400, n_sources=2, anomaly_rate=0.0, seed=70))
-    ml = MoniLog(spark).fit(spark.createDataFrame(train))
-    return ml
+    return MoniLog(spark).fit(spark.createDataFrame(generate(TRAIN)))
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +102,37 @@ def test_reports_follow_event_time_on_shuffled_input(spark, fitted):
     for r in reports:
         assert r.events == expect.at[r.session_id, "template"]
         assert r.levels == expect.at[r.session_id, "level"]
+
+
+def _by_session(preds):
+    return preds.sort_values("session_id").reset_index(drop=True).astype({
+        c: int for c in PRED_COLUMNS[1:]})
+
+
+def test_detect_equals_driver_scoring_across_arrow_batches(spark, fitted):
+    # shuffled, jittered input, cut into small Arrow batches: a session's
+    # lines reach the scoring pass in several batches of one partition
+    test = generate(StreamSpec(n_sessions=150, n_sources=2, anomaly_rate=0.1,
+                               jitter_s=1.0, seed=73))
+    df = spark.createDataFrame(test.sample(frac=1, random_state=1))
+    ref = score_sessions(fitted.parse(df).toPandas(), fitted.seq_model, fitted.quant_model)
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "64")
+    try:
+        preds, reports = fitted.detect(df)
+    finally:
+        spark.conf.set(key, old)
+    assert ref["pred"].sum() > 0
+    assert _by_session(preds).equals(_by_session(ref[PRED_COLUMNS]))
+    assert sorted(reports, key=lambda r: r.session_id) == session_reports(ref)
+
+
+def test_refit_forgets_earlier_stream(spark, fitted):
+    # a first fit on a stream full of anomalies must not leak into the refit
+    noisy = generate(StreamSpec(n_sessions=200, n_sources=2, anomaly_rate=0.5, seed=74))
+    refit = MoniLog(spark).fit(spark.createDataFrame(noisy))
+    refit.fit(spark.createDataFrame(generate(TRAIN)))
+    test = spark.createDataFrame(generate(StreamSpec(n_sessions=150, n_sources=2,
+                                                     anomaly_rate=0.1, seed=71)))
+    assert _by_session(refit.detect(test)[0]).equals(_by_session(fitted.detect(test)[0]))

@@ -6,7 +6,8 @@ import pytest
 from repro.detect.loganomaly import LogAnomalyDetector
 from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
-from repro.detect.scoring import score_sequences, score_sessions, session_reports
+from repro.detect.scoring import (LINE_FIELDS, SCORED_SCHEMA, score_sequences, score_sessions,
+                                  session_reports)
 from repro.detect.sequences import session_sequences
 from repro.loggen.generator import StreamSpec, generate
 from repro.evaluation.tables import template_map
@@ -72,22 +73,30 @@ def _line(t, tpl, value=100):
             "template": tpl, "variables": [str(value)] * tpl.count("<*>")}
 
 
+SESSIONS = {
+    "neither": [_line(0, FLOW[0]), _line(1, FLOW[1]), _line(2, FLOW[2])],
+    "seq": [_line(0, FLOW[0]), _line(1, FLOW[2]), _line(2, FLOW[1])],
+    "quant": [_line(0, FLOW[0]), _line(1, FLOW[1], 999999), _line(2, FLOW[2])],
+    "both": [_line(0, FLOW[2]), _line(1, FLOW[1], 999999)],
+    # arrival order would break the flow; event time restores it
+    "unsorted": [_line(2, FLOW[2]), _line(0, FLOW[0]), _line(1, FLOW[1], 999999)],
+}
+
+
 @pytest.fixture(scope="module")
-def scored():
+def models():
     seq = NGramDetector(h=2, g=1).fit([FLOW] * 5)
     quant = ValueRangeDetector(k=6).fit(("send <*> bytes", [str(v)]) for v in range(95, 106))
-    sessions = pd.DataFrame({
-        "session_id": ["neither", "seq", "quant", "both", "unsorted"],
-        "lines": [
-            [_line(0, FLOW[0]), _line(1, FLOW[1]), _line(2, FLOW[2])],
-            [_line(0, FLOW[0]), _line(1, FLOW[2]), _line(2, FLOW[1])],
-            [_line(0, FLOW[0]), _line(1, FLOW[1], 999999), _line(2, FLOW[2])],
-            [_line(0, FLOW[2]), _line(1, FLOW[1], 999999)],
-            # arrival order would break the flow; event time restores it
-            [_line(2, FLOW[2]), _line(0, FLOW[0]), _line(1, FLOW[1], 999999)],
-        ],
-    })
-    return score_sessions(sessions, seq, quant).set_index("session_id")
+    return seq, quant
+
+
+@pytest.fixture(scope="module")
+def scored(models):
+    # one row per line; arrival interleaves the sessions
+    lines = pd.DataFrame([{"session_id": sid, **line}
+                          for sid, ls in SESSIONS.items() for line in ls])
+    lines = lines.sample(frac=1, random_state=0)
+    return score_sessions(lines, *models).set_index("session_id")
 
 
 @pytest.mark.parametrize("session_id,seq_pred,quant_pred", [
@@ -112,3 +121,10 @@ def test_session_reports_one_per_flagged_session(scored):
     assert {s: r.detector for s, r in reports.items()} == {
         "seq": "seq", "quant": "quant", "both": "seq", "unsorted": "quant"}
     assert reports["unsorted"].events == tuple(FLOW)
+
+
+def test_score_sessions_empty_frame(models):
+    # stage B's empty micro-batch: no lines, no verdicts
+    empty = pd.DataFrame(columns=["session_id", *LINE_FIELDS])
+    out = score_sessions(empty, *models)
+    assert out.empty and list(out.columns) == [c.split()[0] for c in SCORED_SCHEMA.split(", ")]
