@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.classify.classifier import AnomalyClassifier
@@ -68,27 +69,32 @@ class MoniLog:
         self.classifier = AnomalyClassifier()
         self.pools = PoolSystem()
         self.parser: Drain | None = None  # the template tree, learned by fit
+        # fit's broadcasts of the tree and of (seq_model, quant_model); every
+        # parse and detect call until the next fit reuses them
+        self._b_parser: Broadcast | None = None
+        self._b_models: Broadcast | None = None
 
     # -- step 1: parsing --------------------------------------------------
     def parse(self, raw: DataFrame) -> DataFrame:
         """Raw stream (line_id, ts, source, message, session_id, ...) ->
         the same rows with ``template``/``variables`` columns, matched
         against the tree ``fit`` learned."""
-        if self.parser is None:
+        if self._b_parser is None:
             raise RuntimeError("call fit() first")
-        return match_fitted(raw, self.parser, structured=self.config.structured)
+        return match_fitted(raw, self._b_parser, structured=self.config.structured)
 
     # -- step 2: detection ------------------------------------------------
     def fit(self, train_raw: DataFrame) -> "MoniLog":
         """Learn the template tree, then train sequential + quantitative
         models on a normal stream tagged with it. The template is the event
         identity: unlike cluster ids, it does not depend on parse order.
-        A refit replaces the tree and both models: nothing learned from an
-        earlier stream carries over."""
+        A refit replaces the tree and both models, and their broadcasts:
+        nothing learned from an earlier stream carries over."""
         cfg = self.config
         _, mapping = parse_distributed(train_raw, depth=cfg.depth, st=cfg.st,
                                        structured=cfg.structured)
         self.parser, _ = merge_templates(sorted(mapping), depth=cfg.depth, st=cfg.st)
+        self._b_parser = self._rebroadcast(self._b_parser, self.parser)
         lines = (self.parse(train_raw)
                  .select("session_id", "ts", "line_id", "template", "variables")
                  .toPandas()
@@ -97,15 +103,21 @@ class MoniLog:
             lines.groupby("session_id", sort=False)["template"].agg(list))
         self.quant_model = ValueRangeDetector(k=cfg.quant_k).fit(
             zip(lines["template"], lines["variables"]))
+        self._b_models = self._rebroadcast(self._b_models, (self.seq_model, self.quant_model))
         return self
+
+    def _rebroadcast(self, old: Broadcast | None, value) -> Broadcast:
+        """Broadcast ``value``, unpersisting (not destroying) ``old``: a
+        frame an earlier ``parse`` returned may still read it."""
+        if old is not None:
+            old.unpersist()
+        return self.spark.sparkContext.broadcast(value)
 
     def detect(self, raw: DataFrame) -> tuple[pd.DataFrame, list[AnomalyReport]]:
         """Score a stream; returns (per-session predictions, reports)."""
-        if self.parser is None:
+        if self._b_parser is None:
             raise RuntimeError("call fit() first")
-        sc, structured = self.spark.sparkContext, self.config.structured
-        b_tree, b_seq, b_quant = (sc.broadcast(m) for m in
-                                  (self.parser, self.seq_model, self.quant_model))
+        structured, b_tree, b_models = self.config.structured, self._b_parser, self._b_models
 
         def run(batches):
             parts = list(batches)  # a session can span Arrow batches
@@ -113,7 +125,7 @@ class MoniLog:
                 return
             lines = tag_lines(pd.concat(parts, ignore_index=True), b_tree.value,
                               structured=structured)
-            yield score_sessions(lines, b_seq.value, b_quant.value)
+            yield score_sessions(lines, *b_models.value)
 
         scored = (raw.select("session_id", "message", "ts", "line_id", "source", "level")
                   .repartition("session_id")

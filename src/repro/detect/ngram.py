@@ -18,7 +18,7 @@ flagged through the backoff miss — which is precisely why instability
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 BOS = "<s>"
 EOS = "</s>"
@@ -42,12 +42,16 @@ class NGramDetector:
         self.use_eos = use_eos
         # order k history tuple -> Counter of next events, for k in 1..h
         self._tables: list[dict[tuple, Counter]] = [defaultdict(Counter) for _ in range(h)]
+        # order k history tuple -> its top-g next events, rebuilt by fit
+        self._top: list[dict[tuple, list[str]]] = [{} for _ in range(h)]
         self.vocab: set[str] = set()
 
     # -- training ---------------------------------------------------------
     def fit(self, sequences: Iterable[Sequence[str]]) -> "NGramDetector":
         """Train on normal sequences only (the anomaly-free regime of the
-        paper's §III experiment 1)."""
+        paper's §III experiment 1). Counts accumulate over calls; each call
+        ends by ranking every known history's candidates once, so scoring
+        only looks them up."""
         for seq in sequences:
             padded = [BOS] * self.h + list(seq) + ([EOS] if self.use_eos else [])
             self.vocab.update(seq)
@@ -58,6 +62,8 @@ class NGramDetector:
                 for k in range(1, self.h + 1):
                     hist = tuple(padded[i - k:i])
                     self._tables[k - 1][hist][nxt] += 1
+        self._top = [{hist: [e for e, _ in counter.most_common(self.g)]
+                      for hist, counter in table.items()} for table in self._tables]
         return self
 
     # -- scoring ----------------------------------------------------------
@@ -65,28 +71,29 @@ class NGramDetector:
         """Top-g candidates for the longest known history suffix; None if
         even the unigram context is unknown."""
         for k in range(len(hist), 0, -1):
-            table = self._tables[k - 1]
-            counter = table.get(hist[-k:])
-            if counter:
-                return [e for e, _ in counter.most_common(self.g)]
+            cands = self._top[k - 1].get(hist[-k:])
+            if cands:
+                return cands
         return None
 
-    def window_flags(self, seq: Sequence[str]) -> list[bool]:
-        """Per-position anomaly flags (True = next event not in top-g)."""
+    def _flags(self, seq: Sequence[str]) -> Iterator[bool]:
         padded = [BOS] * self.h + list(seq) + ([EOS] if self.use_eos else [])
-        flags = []
         for i in range(self.h, len(padded)):
             nxt = padded[i]
             if nxt not in self.vocab:
-                flags.append(True)  # unseen event id: outside the model's world
+                yield True  # unseen event id: outside the model's world
                 continue
             cands = self._top_g(tuple(padded[i - self.h:i]))
-            flags.append(cands is None or nxt not in cands)
-        return flags
+            yield cands is None or nxt not in cands
+
+    def window_flags(self, seq: Sequence[str]) -> list[bool]:
+        """Per-position anomaly flags (True = next event not in top-g)."""
+        return list(self._flags(seq))
 
     def is_anomalous(self, seq: Sequence[str]) -> bool:
-        """DeepLog's session rule: anomalous iff any window is flagged."""
-        return any(self.window_flags(seq))
+        """DeepLog's session rule: anomalous iff any window is flagged; it
+        stops at the first flagged window."""
+        return any(self._flags(seq))
 
     def predict(self, sequences: Iterable[Sequence[str]]) -> list[int]:
         return [int(self.is_anomalous(s)) for s in sequences]

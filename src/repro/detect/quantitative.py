@@ -51,6 +51,8 @@ class ValueRangeDetector:
         self.min_support = min_support
         self._models: dict[tuple[str, int], _SlotModel] = {}
         self._seen: dict[tuple[str, int], list[float]] = defaultdict(list)
+        # event_id -> its modelled (slot, model) pairs, rebuilt by fit
+        self._slots: dict[str, list[tuple[int, _SlotModel]]] = {}
 
     def fit(self, rows: Iterable[tuple[str, Sequence[str]]]) -> "ValueRangeDetector":
         """Train from (event_id, variable values) of *normal* lines."""
@@ -66,15 +68,16 @@ class ValueRangeDetector:
             med = float(np.median(arr))
             mad = float(np.median(np.abs(arr - med)))
             self._models[key] = _SlotModel(median=med, scale=1.4826 * mad)
+        slots = defaultdict(list)
+        for (event_id, slot), model in self._models.items():
+            slots[event_id].append((slot, model))
+        self._slots = dict(slots)
         return self
 
     def line_flag(self, event_id: str, values: Sequence[str]) -> bool:
         """True iff any modelled slot of this line is out of range."""
-        for slot, v in enumerate(values):
-            model = self._models.get((event_id, slot))
-            if model is None:
-                continue
-            x = _numeric(v)
+        for slot, model in self._slots.get(event_id, ()):
+            x = _numeric(values[slot]) if slot < len(values) else None
             if x is not None and not model.in_range(x, self.k):
                 return True
         return False

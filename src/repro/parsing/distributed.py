@@ -32,11 +32,12 @@ from __future__ import annotations
 from typing import Iterator
 
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.parsing.drain import Drain, extract_variables, tokenize
+from repro.parsing.drain import WILDCARD, Drain, tokenize
 from repro.parsing.preprocess import preprocess
 
 
@@ -108,25 +109,37 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
 
 def tag_lines(pdf: pd.DataFrame, tree: Drain, *, structured: bool) -> pd.DataFrame:
     """Add ``template``/``variables`` to ``pdf``: each message is
-    preprocessed once and matched against the unchanging global tree. A
-    miss keeps its own tokens, as a new Drain cluster's first line would,
+    preprocessed and tokenized once and matched against the unchanging
+    global tree; a hit's variables are its tokens at the cluster's ``<*>``
+    positions (what :func:`~repro.parsing.drain.extract_variables` gives).
+    A miss keeps its own tokens, as a new Drain cluster's first line would,
     and has no variables."""
-    texts = [preprocess(m, structured=structured) for m in pdf["message"]]
-    hits = [tree.match_only(t) for t in texts]
-    pdf["template"] = [h[1] if h else " ".join(tokenize(t)) for h, t in zip(hits, texts)]
-    pdf["variables"] = [extract_variables(h[1], t) if h else [] for h, t in zip(hits, texts)]
+    slots = {c.cluster_id: (c.template, [i for i, t in enumerate(c.tokens) if t == WILDCARD])
+             for c in tree.clusters}
+    templates, variables = [], []
+    for message in pdf["message"]:
+        toks = tokenize(preprocess(message, structured=structured))
+        hit = tree.match_tokens(toks)
+        if hit is None:
+            templates.append(" ".join(toks))
+            variables.append([])
+        else:
+            template, wild = slots[hit.cluster_id]
+            templates.append(template)
+            variables.append([toks[i] for i in wild])
+    pdf["template"] = templates
+    pdf["variables"] = variables
     return pdf
 
 
-def match_fitted(df: DataFrame, parser: Drain, *, structured: bool) -> DataFrame:
+def match_fitted(df: DataFrame, b_parser: Broadcast, *, structured: bool) -> DataFrame:
     """Add ``template``/``variables`` to ``df`` in one narrow pass of
-    :func:`tag_lines` against the broadcast tree."""
+    :func:`tag_lines` against the broadcast tree ``b_parser``."""
     base = df.drop("cluster_id", "template", "variables")
     schema = T.StructType(base.schema.fields + [
         T.StructField("template", T.StringType()),
         T.StructField("variables", T.ArrayType(T.StringType())),
     ])
-    b_parser = df.sparkSession.sparkContext.broadcast(parser)
 
     def tag(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:

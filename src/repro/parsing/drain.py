@@ -27,7 +27,7 @@ def tokenize(message: str) -> list[str]:
 
 
 def _has_digit(tok: str) -> bool:
-    return any(c.isdigit() for c in tok)
+    return any(map(str.isdigit, tok))
 
 
 @dataclasses.dataclass
@@ -74,11 +74,7 @@ class Drain:
     def _route(self, toks: list[str], create: bool) -> list[Cluster] | None:
         """Walk root -> length node -> ``depth-2`` token nodes -> leaf list."""
         keys: list[object] = [len(toks)]
-        for i in range(self.depth - 2):
-            if i >= len(toks):
-                break
-            tok = toks[i]
-            keys.append(WILDCARD if _has_digit(tok) else tok)
+        keys += [WILDCARD if _has_digit(tok) else tok for tok in toks[:self.depth - 2]]
         node = self._root
         for key in keys[:-1]:
             if key not in node:
@@ -142,12 +138,17 @@ class Drain:
     def n_templates(self) -> int:
         return len(self._clusters)
 
+    def match_tokens(self, toks: list[str]) -> Cluster | None:
+        """The cluster ``parse`` would join given a message's tokens (already
+        preprocessed and tokenized), None if it would start one; the tree is
+        not changed. ``MoniLog.parse`` tags every line this way against the
+        broadcast tree ``fit`` learned."""
+        return self._best_match(self._route(toks, create=False) or [], toks)
+
     def match_only(self, message: str) -> tuple[int, str] | None:
-        """The id and template of the cluster ``parse`` would join, None if
-        it would start one; the tree is not changed. ``MoniLog.parse`` tags
-        every line this way against the broadcast tree ``fit`` learned."""
-        toks = self._tokens(message)
-        best = self._best_match(self._route(toks, create=False) or [], toks)
+        """:meth:`match_tokens` of ``message``: the id and template of the
+        cluster ``parse`` would join, None if it would start one."""
+        best = self.match_tokens(self._tokens(message))
         return None if best is None else (best.cluster_id, best.template)
 
 

@@ -42,13 +42,14 @@ def extract_structured(message: str) -> tuple[str, dict[str, str]]:
     The extracted key/values are structured data (already parsed), so the
     free-text parser never sees them — the paper's §IV recommendation.
     """
-    m = _JSON_TAIL_RE.search(message)
+    # each tail regex needs its opening character; most messages have neither
+    m = _JSON_TAIL_RE.search(message) if "{" in message else None
     if m:
         blob = m.group(1)
         data = dict(_KV_RE.findall(blob))
         if data:
             return message[: m.start()].rstrip(), data
-    m = _XML_TAIL_RE.search(message)
+    m = _XML_TAIL_RE.search(message) if "<" in message else None
     if m:
         blob = m.group(1)
         data = dict(re.findall(r"<([A-Za-z][\w.]*)>([^<]*)</", blob))

@@ -1,4 +1,6 @@
 """Integration tests for the batch MoniLog pipeline (core.monilog)."""
+import os
+
 import pytest
 
 from repro.classify.pools import DEFAULT_POOL
@@ -136,3 +138,31 @@ def test_refit_forgets_earlier_stream(spark, fitted):
     test = spark.createDataFrame(generate(StreamSpec(n_sessions=150, n_sources=2,
                                                      anomaly_rate=0.1, seed=71)))
     assert _by_session(refit.detect(test)[0]).equals(_by_session(fitted.detect(test)[0]))
+
+
+def test_calls_reuse_the_fit_broadcasts(spark, fitted):
+    # each broadcast leaves one pickled file in the driver's temp dir; fit
+    # made the tree's and the models', so later calls must add none
+    tmp = spark.sparkContext._temp_dir
+    df = spark.createDataFrame(generate(StreamSpec(n_sessions=30, n_sources=2,
+                                                   anomaly_rate=0.1, seed=75)))
+    before = set(os.listdir(tmp))
+    for _ in range(3):
+        fitted.detect(df)
+        fitted.parse(df).count()
+    assert set(os.listdir(tmp)) == before
+
+
+def test_frame_parsed_before_refit_still_runs(spark):
+    ml = MoniLog(spark).fit(spark.createDataFrame(
+        generate(StreamSpec(n_sessions=100, n_sources=2, seed=76))))
+    frame = ml.parse(spark.createDataFrame(generate(StreamSpec(n_sessions=20, n_sources=2,
+                                                               seed=77))))
+    expect = frame.toPandas()
+    tmp = spark.sparkContext._temp_dir
+    before = set(os.listdir(tmp))
+    ml.fit(spark.createDataFrame(generate(StreamSpec(n_sessions=100, n_sources=2, seed=78))))
+    # the refit broadcast a new tree and new models; the old ones were
+    # unpersisted, not destroyed, so the earlier frame still reads its tree
+    assert len(set(os.listdir(tmp)) - before) == 2
+    assert frame.toPandas().equals(expect)

@@ -1,4 +1,6 @@
 """Unit tests for the DeepLog-style n-gram detector (detect.ngram)."""
+import random
+
 import pytest
 
 from repro.detect.ngram import BOS, EOS, NGramDetector
@@ -98,3 +100,32 @@ def test_g_one_is_strictest():
 
 def test_bos_constant_exported():
     assert BOS != EOS
+
+
+def _random_flows(seed, n=300, vocab="abcdef"):
+    rng = random.Random(seed)
+    return [[rng.choice(vocab) for _ in range(rng.randint(0, 8))] for _ in range(n)]
+
+
+def _assert_top_g_is_most_common(d):
+    for table in d._tables:
+        for hist, counter in table.items():
+            assert d._top_g(hist) == [e for e, _ in counter.most_common(d.g)]
+
+
+def test_top_g_table_equals_most_common_across_fits():
+    # a small g over a small vocabulary cuts through ties, so the
+    # fit-time table must keep Counter.most_common's tie order
+    d = NGramDetector(h=2, g=2).fit(_random_flows(1))
+    _assert_top_g_is_most_common(d)
+    d.fit(_random_flows(2, vocab="abcdefgh"))  # counts accumulate
+    _assert_top_g_is_most_common(d)
+    assert d._top_g(("g",)) is not None
+
+
+def test_is_anomalous_equals_any_window_flag():
+    flows = _random_flows(3, n=20)
+    d = NGramDetector(h=3, g=2).fit(flows * 5)
+    seqs = flows + _random_flows(4, n=500, vocab="abcdefxy")  # x, y never trained
+    assert any(d.is_anomalous(s) for s in seqs) and not all(d.is_anomalous(s) for s in seqs)
+    assert [d.is_anomalous(s) for s in seqs] == [any(d.window_flags(s)) for s in seqs]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.detect.quantitative import ValueRangeDetector
+from repro.detect.quantitative import ValueRangeDetector, _numeric
 
 
 def _train_rows(n=100, seed=0):
@@ -77,3 +77,31 @@ def test_k_controls_sensitivity():
 def test_n_models_counts_slots(trained):
     assert trained.n_models() == 1  # only the numeric slot
 
+
+def _reference_line_flag(d, event_id, values):
+    """The per-slot lookup the fit-time slot index replaces."""
+    for slot, v in enumerate(values):
+        model = d._models.get((event_id, slot))
+        x = None if model is None else _numeric(v)
+        if x is not None and not model.in_range(x, d.k):
+            return True
+    return False
+
+
+def test_slot_index_follows_second_fit():
+    g = np.random.default_rng(3)
+    d = ValueRangeDetector(k=6).fit(
+        ("ev.a", ["x", str(int(g.integers(100, 200)))]) for _ in range(50))
+    assert d.line_flag("ev.a", ["x", "5000"])
+    assert not d.line_flag("ev.b", ["5000", "1"])
+    # the second fit adds a new event and shifts ev.a's median
+    d.fit([("ev.a", ["x", str(int(g.integers(4900, 5100)))]) for _ in range(200)]
+          + [("ev.b", [str(int(g.integers(10, 20))), "7"]) for _ in range(50)])
+    assert not d.line_flag("ev.a", ["x", "5000"])
+    assert d.line_flag("ev.b", ["5000", "7"])
+    assert d.line_flag("ev.b", ["15", "9000"])
+    probes = [(e, [str(a), str(b)]) for e in ("ev.a", "ev.b", "ev.c")
+              for a in (-50, 15, 150, 5000, 10 ** 6) for b in (1, 7, 150, 5000)]
+    probes += [("ev.a", []), ("ev.a", ["x"]), ("ev.b", ["15"]), ("ev.b", ["15", "7", "1e9"])]
+    assert [d.line_flag(e, v) for e, v in probes] == \
+        [_reference_line_flag(d, e, v) for e, v in probes]

@@ -1,0 +1,165 @@
+"""Side-by-side A/B of the benchmark declared in BENCHMARK.json.
+
+    python3 tools/ab_bench.py --parent HEAD~1 --seeds 1-10 \
+        --change "what the change does" [--claim batch-200k:detect_lines_per_s]
+
+Run from anywhere inside a checkout. For every workload and seed it runs
+the benchmark command once in a temporary ``git worktree`` of the parent
+revision (under ``.bench_work/``) and once in this checkout, untraced, the
+side that runs first alternating from seed to seed. It then appends one
+entry to ``BENCH_perfbench.json``: per workload and end-to-end metric, each
+side's median and quartiles over the seeds, and on how many seeds the
+change read better or worse. The worktree is removed afterwards. Standard
+library only; the benchmark's own files are never edited.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HOST_KEYS = ("nproc", "spark_master", "default_parallelism", "driver_memory",
+             "spark_version", "python_version")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"1-5,9"`` -> ``[1, 2, 3, 4, 5, 9]``."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median and linear-interpolated 25th/75th percentiles."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def run_once(root: str, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict | None:
+    """One untraced run in ``root``; its provenance and result, or None if
+    it printed no result."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    prov = next((json.loads(ln[len("provenance "):]) for ln in lines
+                 if ln.startswith("provenance ")), {})
+    return {"provenance": prov, "result": json.loads(lines[-1])}
+
+
+def compare(runs: dict[str, list[dict | None]], metrics: list[dict]) -> dict:
+    """Per-metric statistics over the pairs in which both sides ran."""
+    pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p and c]
+    out = {}
+    for m in metrics:
+        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+        vals = [(p["result"]["metrics"][name]["value"], c["result"]["metrics"][name]["value"])
+                for p, c in pairs]
+        if not vals:
+            continue
+        out[name] = {
+            "unit": m["unit"], "better": m["better"],
+            "parent": quartiles([p for p, _ in vals]),
+            "change": quartiles([c for _, c in vals]),
+            "change_wins": sum(1 for p, c in vals if sign * (c - p) > 0),
+            "change_losses": sum(1 for p, c in vals if sign * (c - p) < 0),
+            "pairs": len(vals),
+        }
+    return out
+
+
+def all_correct(runs: dict[str, list[dict | None]]) -> bool:
+    return all(r is not None and r["result"]["correct"] and r["result"]["failed"] == 0
+               for side in runs.values() for r in side)
+
+
+def f1_identical(runs: dict[str, list[dict | None]]) -> bool:
+    def f1(r):
+        return None if r is None else r["result"]["metrics"].get("detect_f1", {}).get("value")
+    return all(f1(p) == f1(c) for p, c in zip(runs["parent"], runs["change"]))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent side")
+    ap.add_argument("--seeds", required=True, help="e.g. 1-10 or 1,3,5")
+    ap.add_argument("--change", required=True, help="one line saying what the change does")
+    ap.add_argument("--workloads", help="comma-separated; default: every workload")
+    ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    names = [w["name"] for w in bench["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else names
+    unknown = set(workloads) - set(names)
+    if unknown:
+        ap.error(f"unknown workloads: {sorted(unknown)}")
+    seeds = parse_seeds(args.seeds)
+    parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+
+    worktree = os.path.join(ROOT, ".bench_work", f"ab-parent-{os.getpid()}")
+    subprocess.run(["git", "worktree", "add", "--detach", worktree, parent], cwd=ROOT,
+                   check=True, capture_output=True)
+    roots = {"parent": worktree, "change": ROOT}
+    results = {}
+    host: dict = {}
+    try:
+        for workload in workloads:
+            runs: dict[str, list[dict | None]] = {"parent": [], "change": []}
+            for i, seed in enumerate(seeds):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    run = run_once(roots[side], bench["command"], workload, seed,
+                                   bench["run_seconds"])
+                    runs[side].append(run)
+                    if run and not host:
+                        host = {k: run["provenance"].get(k) for k in HOST_KEYS}
+                    ok = "no result" if run is None else run["result"]["metrics"]
+                    print(f"{workload} seed {seed} {side}: "
+                          + (ok if isinstance(ok, str) else
+                             " ".join(f"{k}={v['value']:.4g}" for k, v in sorted(ok.items()))),
+                          flush=True)
+            results[workload] = {
+                "seeds": seeds,
+                "all_runs_correct_no_failed_ops": all_correct(runs),
+                "detect_f1_identical_per_seed": f1_identical(runs),
+                "metrics": compare(runs, bench["end_to_end"]),
+            }
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=ROOT,
+                       capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+
+    entry = {"change": args.change, "parent_commit": parent, "host": host,
+             "run_seconds": bench["run_seconds"]}
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        entry["claim"] = {"workload": workload, "metric": metric}
+    entry["workloads"] = results
+    record = os.path.join(ROOT, "BENCH_perfbench.json")
+    with open(record) as f:
+        doc = json.load(f)
+    doc["entries"].append(entry)
+    with open(record, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+    print(f"appended the A/B of {parent} vs this checkout to {record}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
