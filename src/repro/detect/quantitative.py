@@ -50,6 +50,7 @@ class ValueRangeDetector:
         self.k = k
         self.min_support = min_support
         self._models: dict[tuple[str, int], _SlotModel] = {}
+        # every training value, kept so a later fit adds to them
         self._seen: dict[tuple[str, int], list[float]] = defaultdict(list)
         # event_id -> its modelled (slot, model) pairs, rebuilt by fit
         self._slots: dict[str, list[tuple[int, _SlotModel]]] = {}
@@ -73,6 +74,14 @@ class ValueRangeDetector:
             slots[event_id].append((slot, model))
         self._slots = dict(slots)
         return self
+
+    def __getstate__(self) -> dict:
+        # scoring needs only the slot models: a pickled copy (a broadcast)
+        # leaves the training values out, and a fit on it starts afresh
+        return {**self.__dict__, "_seen": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _seen=defaultdict(list))
 
     def line_flag(self, event_id: str, values: Sequence[str]) -> bool:
         """True iff any modelled slot of this line is out of range."""

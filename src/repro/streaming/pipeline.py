@@ -5,15 +5,24 @@ a multi-source file stream (the container has no Kafka; a file source
 exercises the same micro-batch dataflow, watermarking and stateful
 aggregation paths — DESIGN.md substitution 4):
 
-* **Stage A — parse**: inside ``foreachBatch``, ``MoniLog.parse`` matches
-  each micro-batch of raw JSON log records against the tree ``fit``
-  learned; the rows, with ``template``/``variables``, land in parquet.
+* **Stage A — parse**: ``MoniLog.parse`` matches each micro-batch of raw
+  JSON log records against the tree ``fit`` learned; the rows, with
+  ``template``/``variables``, go to a parquet file sink. The sink's
+  ``_spark_metadata`` log commits each batch's files once, so a batch
+  replayed after a failure is not written twice.
 * **Stage B — structure + detect + classify**: a parquet file stream of
-  structured records is watermarked on event time and aggregated with
+  structured records (read through the sink's log, which exists because
+  stage A starts first) is watermarked on event time and aggregated with
   ``session_window`` (MoniLog's "windowed aggregation for sequence
-  structuring"); in ``foreachBatch`` each micro-batch of *closed*
-  session windows is flattened back to lines in Spark (``inline``),
-  collected, and scored on the driver by
+  structuring"). The window state lives on
+  ``min(spark.sql.shuffle.partitions, defaultParallelism)`` partitions:
+  every trigger runs one state task per partition, and tasks beyond one
+  per core only add fixed cost to each trigger. Spark reads that count
+  when the query first starts and pins it in the checkpoint, so a
+  restart keeps it, and a query first started before dynamic-allocation
+  executors register keeps a lower count. In ``foreachBatch`` each
+  micro-batch of *closed* session windows is flattened back to lines in
+  Spark (``inline``), collected, and scored on the driver by
   :func:`~repro.detect.scoring.score_sessions` — the same function
   ``MoniLog.detect`` runs partition-parallel — and every anomalous
   session becomes an :class:`AnomalyReport` routed through the §V
@@ -33,7 +42,7 @@ import os
 import threading
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -114,18 +123,8 @@ class StreamingMoniLog:
         os.makedirs(self.structured_dir, exist_ok=True)
         self.results: list[dict] = []
         self.reports: list[AnomalyReport] = []
-        self.batches_parsed = 0
         self._scored_batches: set[int] = set()
         self._lock = threading.Lock()
-
-    # -- stage A ----------------------------------------------------------
-    def _parse_batch(self, batch_df: DataFrame, batch_id: int) -> None:
-        # the one-token flush record matches no fitted template, keeps
-        # "flush" as its own, and stage B drops its session
-        (self.monilog.parse(batch_df).select(*STRUCTURED_SCHEMA.fieldNames())
-         .write.mode("append").parquet(self.structured_dir))
-        with self._lock:
-            self.batches_parsed += 1
 
     # -- stage B ----------------------------------------------------------
     def _score_batch(self, batch_df: DataFrame, batch_id: int) -> None:
@@ -150,11 +149,17 @@ class StreamingMoniLog:
         raw = (spark.readStream.schema(RAW_SCHEMA)
                .option("maxFilesPerTrigger", max_files_per_trigger)
                .json(input_dir))
-        q_parse = (raw.writeStream
-                   .foreachBatch(self._parse_batch)
+        # the one-token flush record matches no fitted template, keeps
+        # "flush" as its own, and stage B drops its session
+        q_parse = (self.monilog.parse(raw).select(*STRUCTURED_SCHEMA.fieldNames())
+                   .writeStream
+                   .format("parquet")
+                   .option("path", self.structured_dir)
                    .option("checkpointLocation", os.path.join(self.checkpoints, "parse"))
                    .start())
 
+        # started after stage A, whose sink has created _spark_metadata by
+        # now: the source reads the sink's log instead of listing files
         structured = (spark.readStream.schema(STRUCTURED_SCHEMA)
                       .option("maxFilesPerTrigger", 64)
                       .parquet(self.structured_dir))
@@ -163,11 +168,19 @@ class StreamingMoniLog:
                     .groupBy(F.session_window(F.col("ts"), self.session_gap),
                              F.col("session_id"))
                     .agg(F.collect_list(F.struct(*LINE_FIELDS)).alias("lines")))
-        q_detect = (sessions.writeStream
-                    .outputMode("append")
-                    .foreachBatch(self._score_batch)
-                    .option("checkpointLocation", os.path.join(self.checkpoints, "detect"))
-                    .start())
+        writer = (sessions.writeStream
+                  .outputMode("append")
+                  .foreachBatch(self._score_batch)
+                  .option("checkpointLocation", os.path.join(self.checkpoints, "detect")))
+        # at most one state task per core; the query reads the count only
+        # in start(), so the caller's value is set back right after it
+        key = "spark.sql.shuffle.partitions"
+        caller = spark.conf.get(key)
+        spark.conf.set(key, str(min(int(caller), spark.sparkContext.defaultParallelism)))
+        try:
+            q_detect = writer.start()
+        finally:
+            spark.conf.set(key, caller)
         return q_parse, q_detect
 
     def drain(self, q_parse, q_detect, *, rounds: int = 6) -> None:

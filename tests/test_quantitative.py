@@ -1,4 +1,6 @@
 """Unit tests for the value-range detector (detect.quantitative)."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,18 @@ def test_slot_index_follows_second_fit():
     probes += [("ev.a", []), ("ev.a", ["x"]), ("ev.b", ["15"]), ("ev.b", ["15", "7", "1e9"])]
     assert [d.line_flag(e, v) for e, v in probes] == \
         [_reference_line_flag(d, e, v) for e, v in probes]
+
+
+def test_pickled_detector_flags_like_original(trained):
+    copy = pickle.loads(pickle.dumps(trained))
+    probes = [(e, [str(a), ip]) for e in ("ev.send", "ev.unknown")
+              for a in (-5000, 0, 99, 150, 260, 99999999, "x") for ip in ("10.0.0.1", "7")]
+    assert [copy.line_flag(e, v) for e, v in probes] == \
+        [trained.line_flag(e, v) for e, v in probes]
+    assert any(trained.line_flag(e, v) for e, v in probes)
+
+
+def test_pickle_size_independent_of_training_values():
+    small = ValueRangeDetector(k=6).fit(_train_rows(n=100))
+    large = ValueRangeDetector(k=6).fit(_train_rows(n=20000))
+    assert len(pickle.dumps(large)) == len(pickle.dumps(small))

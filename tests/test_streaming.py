@@ -2,7 +2,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
@@ -34,7 +33,7 @@ def run(spark, fitted, tmp_path_factory):
     finally:
         qp.stop()
         qd.stop()
-    return test, sm
+    return test, sm, (qp, qd)
 
 
 def test_write_stream_files_layout(tmp_path):
@@ -56,7 +55,7 @@ def test_requires_fitted_model(spark, tmp_path):
 
 
 def test_every_session_scored_exactly_once(run):
-    test, sm = run
+    test, sm, _ = run
     preds = sm.predictions()
     assert len(preds) == test["session_id"].nunique()
     assert preds["session_id"].is_unique
@@ -64,7 +63,7 @@ def test_every_session_scored_exactly_once(run):
 
 
 def test_streaming_detection_quality(run):
-    test, sm = run
+    test, sm, _ = run
     preds = sm.predictions()
     truth = test.groupby("session_id")["is_anomaly"].any().astype(int)
     merged = preds.set_index("session_id").join(truth.rename("y"))
@@ -74,15 +73,30 @@ def test_streaming_detection_quality(run):
 
 
 def test_reports_and_classification(run):
-    _, sm = run
+    _, sm, _ = run
     assert len(sm.reports) == int(sm.predictions()["pred"].sum())
     stats = sm.monilog.pools.stats()
     assert sum(stats.values()) == len(sm.reports)
 
 
+def _executed(query) -> list:
+    """Progress of the query's batches that ran (not idle triggers)."""
+    return [p for p in query.recentProgress if "addBatch" in p["durationMs"]]
+
+
 def test_multiple_microbatches_processed(run):
-    _, sm = run
-    assert sm.batches_parsed >= 3
+    _, _, (qp, _) = run
+    assert len(_executed(qp)) >= 3
+
+
+def _state_partitions(query) -> int:
+    return query.lastProgress["stateOperators"][0]["numShufflePartitions"]
+
+
+def test_state_partitions_capped_at_cores(spark, run):
+    _, _, (_, qd) = run
+    conf = spark.conf.get("spark.sql.shuffle.partitions")
+    assert _state_partitions(qd) == min(int(conf), spark.sparkContext.defaultParallelism)
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +111,25 @@ def _raw(spark, pdf):
     return spark.createDataFrame(pdf[list(RAW_SCHEMA.fieldNames())], schema=RAW_SCHEMA)
 
 
+def _parsed(spark, sm):
+    """Stage A's output without the flush record."""
+    structured = spark.read.parquet(sm.structured_dir)
+    return structured.filter(structured.session_id != FLUSH_SESSION)
+
+
 def test_stage_a_templates_independent_of_microbatches(spark, fitted4, tmp_path):
     ml, test = fitted4
-    sm = StreamingMoniLog(ml, str(tmp_path))
-    arrival = test.sort_values("arrival_ts")
-    for batch_id, rows in enumerate(np.array_split(np.arange(len(arrival)), 16)):
-        sm._parse_batch(_raw(spark, arrival.iloc[rows]), batch_id)
-    streamed = spark.read.parquet(sm.structured_dir).select("line_id", "template").toPandas()
+    inp = str(tmp_path / "input")
+    write_stream_files(test, inp, n_files=16)
+    sm = StreamingMoniLog(ml, str(tmp_path / "work"))
+    qp, qd = sm.start(inp, max_files_per_trigger=1)
+    try:
+        qp.processAllAvailable()
+    finally:
+        qp.stop()
+        qd.stop()
+    assert len(_executed(qp)) == 17  # 16 files and the flush record
+    streamed = _parsed(spark, sm).select("line_id", "template").toPandas()
     batch = ml.parse(_raw(spark, test)).select("line_id", "template").toPandas()
     assert len(streamed) == len(batch) == len(test)
     assert dict(zip(streamed["line_id"], streamed["template"])) == \
@@ -120,3 +146,55 @@ def test_replayed_score_batch_counts_once(spark, fitted4, tmp_path):
     assert len(first[0]) == test["session_id"].nunique() and first[1]
     sm._score_batch(sessions, 7)
     assert (sm.results, sm.reports, ml.pools.stats()) == first
+
+
+def test_runtime_shuffle_partitions_kept_and_capped(spark, fitted4, tmp_path):
+    ml, test = fitted4
+    inp = str(tmp_path / "input")
+    write_stream_files(test.head(200), inp, n_files=1)
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "2")
+    try:
+        sm = StreamingMoniLog(ml, str(tmp_path / "work"))
+        qp, qd = sm.start(inp)
+        try:
+            assert spark.conf.get(key) == "2"
+            sm.drain(qp, qd, rounds=2)
+        finally:
+            qp.stop()
+            qd.stop()
+        assert _state_partitions(qd) == min(2, spark.sparkContext.defaultParallelism)
+        assert spark.conf.get(key) == "2"
+    finally:
+        spark.conf.set(key, old)
+
+
+def test_replayed_parse_batch_written_once(spark, fitted4, tmp_path):
+    ml, test = fitted4
+    inp = str(tmp_path / "input")
+    # no flush file: the batch replayed is the last one, with 1/4 of the lines
+    os.remove(write_stream_files(test, inp, n_files=4)[-1])
+    work = str(tmp_path / "work")
+    sm = StreamingMoniLog(ml, work)
+    qp, qd = sm.start(inp)
+    qd.stop()
+    try:
+        qp.processAllAvailable()
+    finally:
+        qp.stop()
+    commits = os.path.join(sm.checkpoints, "parse", "commits")
+    last = max((f for f in os.listdir(commits) if f.isdigit()), key=int)
+    for name in (last, f".{last}.crc"):
+        os.remove(os.path.join(commits, name))
+    # a new pipeline on the same checkpoint runs the uncommitted batch again
+    sm = StreamingMoniLog(ml, work)
+    qp, qd = sm.start(inp)
+    qd.stop()
+    try:
+        qp.processAllAvailable()
+    finally:
+        qp.stop()
+    assert [p["batchId"] for p in _executed(qp)] == [int(last)]
+    ids = _parsed(spark, sm).select("line_id").toPandas()["line_id"]
+    assert sorted(ids) == sorted(test["line_id"])

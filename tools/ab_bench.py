@@ -4,19 +4,21 @@
         --change "what the change does" [--claim batch-200k:detect_lines_per_s]
 
 Run from anywhere inside a checkout. For every workload and seed it runs
-the benchmark command once in a temporary ``git worktree`` of the parent
-revision (under ``.bench_work/``) and once in this checkout, untraced, the
-side that runs first alternating from seed to seed. It then appends one
-entry to ``BENCH_perfbench.json``: per workload and end-to-end metric, each
-side's median and quartiles over the seeds, and on how many seeds the
-change read better or worse. The worktree is removed afterwards. Standard
-library only; the benchmark's own files are never edited.
+the benchmark command once in a temporary copy of the parent revision
+(``git archive``, extracted under ``.bench_work/``) and once in this
+checkout, untraced, the side that runs first alternating from seed to
+seed. It then appends one entry to ``BENCH_perfbench.json``: per workload
+and end-to-end metric, each side's value per seed, median and quartiles
+over the seeds, and on how many seeds the change read better or worse.
+The copy is removed afterwards. Standard library only; the benchmark's
+own files are never edited.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -74,6 +76,8 @@ def compare(runs: dict[str, list[dict | None]], metrics: list[dict]) -> dict:
             "unit": m["unit"], "better": m["better"],
             "parent": quartiles([p for p, _ in vals]),
             "change": quartiles([c for _, c in vals]),
+            "per_seed": {"parent": [round(p, 4) for p, _ in vals],
+                         "change": [round(c, 4) for _, c in vals]},
             "change_wins": sum(1 for p, c in vals if sign * (c - p) > 0),
             "change_losses": sum(1 for p, c in vals if sign * (c - p) < 0),
             "pairs": len(vals),
@@ -112,10 +116,12 @@ def main(argv=None) -> int:
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
 
-    worktree = os.path.join(ROOT, ".bench_work", f"ab-parent-{os.getpid()}")
-    subprocess.run(["git", "worktree", "add", "--detach", worktree, parent], cwd=ROOT,
-                   check=True, capture_output=True)
-    roots = {"parent": worktree, "change": ROOT}
+    copy = os.path.join(ROOT, ".bench_work", f"ab-parent-{os.getpid()}")
+    os.makedirs(copy)
+    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", copy], input=archive, check=True)
+    roots = {"parent": copy, "change": ROOT}
     results = {}
     host: dict = {}
     try:
@@ -140,9 +146,7 @@ def main(argv=None) -> int:
                 "metrics": compare(runs, bench["end_to_end"]),
             }
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(copy, ignore_errors=True)
 
     entry = {"change": args.change, "parent_commit": parent, "host": host,
              "run_seconds": bench["run_seconds"]}
