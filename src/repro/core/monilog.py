@@ -17,7 +17,9 @@
 
 Training (``fit``) consumes an *anomaly-free* stream — the deployment
 regime the paper argues for in §III (labelled anomalies are rare and
-injecting them is error-prone).
+injecting them is error-prone). Every component runs at its published
+defaults (Drain's ``depth=4, st=0.5``; DeepLog's ``h=4, g=9``), and the
+fitted tree and models are frozen until the next ``fit`` replaces them.
 
 The batch API here is the unit of the streaming pipeline: Structured
 Streaming tags each micro-batch with the same ``MoniLog.parse`` and scores
@@ -25,8 +27,6 @@ each micro-batch of closed session windows with the same
 ``score_sessions`` (see :mod:`repro.streaming.pipeline`).
 """
 from __future__ import annotations
-
-import dataclasses
 
 import pandas as pd
 from pyspark import Broadcast
@@ -48,22 +48,11 @@ from repro.parsing.drain import extract_variables  # noqa: F401
 from repro.detect.sequences import session_sequences  # noqa: F401
 
 
-@dataclasses.dataclass
-class MoniLogConfig:
-    depth: int = 4
-    st: float = 0.5
-    structured: bool = True      # §IV JSON/XML extraction
-    h: int = 4                   # n-gram history
-    g: int = 9                   # top-g candidates (DeepLog default)
-    quant_k: float = 8.0
-
-
 class MoniLog:
     """End-to-end MoniLog instance over one SparkSession."""
 
-    def __init__(self, spark: SparkSession, config: MoniLogConfig | None = None) -> None:
+    def __init__(self, spark: SparkSession) -> None:
         self.spark = spark
-        self.config = config or MoniLogConfig()
         self.seq_model: NGramDetector | None = None
         self.quant_model: ValueRangeDetector | None = None
         self.classifier = AnomalyClassifier()
@@ -81,7 +70,7 @@ class MoniLog:
         against the tree ``fit`` learned."""
         if self._b_parser is None:
             raise RuntimeError("call fit() first")
-        return match_fitted(raw, self._b_parser, structured=self.config.structured)
+        return match_fitted(raw, self._b_parser)
 
     # -- step 2: detection ------------------------------------------------
     def fit(self, train_raw: DataFrame) -> "MoniLog":
@@ -90,19 +79,16 @@ class MoniLog:
         identity: unlike cluster ids, it does not depend on parse order.
         A refit replaces the tree and both models, and their broadcasts:
         nothing learned from an earlier stream carries over."""
-        cfg = self.config
-        _, mapping = parse_distributed(train_raw, depth=cfg.depth, st=cfg.st,
-                                       structured=cfg.structured)
-        self.parser, _ = merge_templates(sorted(mapping), depth=cfg.depth, st=cfg.st)
+        _, mapping = parse_distributed(train_raw)
+        self.parser, _ = merge_templates(sorted(mapping))
         self._b_parser = self._rebroadcast(self._b_parser, self.parser)
         lines = (self.parse(train_raw)
                  .select("session_id", "ts", "line_id", "template", "variables")
                  .toPandas()
                  .sort_values(["session_id", "ts", "line_id"]))
-        self.seq_model = NGramDetector(h=cfg.h, g=cfg.g).fit(
+        self.seq_model = NGramDetector().fit(
             lines.groupby("session_id", sort=False)["template"].agg(list))
-        self.quant_model = ValueRangeDetector(k=cfg.quant_k).fit(
-            zip(lines["template"], lines["variables"]))
+        self.quant_model = ValueRangeDetector().fit(zip(lines["template"], lines["variables"]))
         self._b_models = self._rebroadcast(self._b_models, (self.seq_model, self.quant_model))
         return self
 
@@ -117,14 +103,13 @@ class MoniLog:
         """Score a stream; returns (per-session predictions, reports)."""
         if self._b_parser is None:
             raise RuntimeError("call fit() first")
-        structured, b_tree, b_models = self.config.structured, self._b_parser, self._b_models
+        b_tree, b_models = self._b_parser, self._b_models
 
         def run(batches):
             parts = list(batches)  # a session can span Arrow batches
             if not parts:  # an empty partition gets no batch
                 return
-            lines = tag_lines(pd.concat(parts, ignore_index=True), b_tree.value,
-                              structured=structured)
+            lines = tag_lines(pd.concat(parts, ignore_index=True), b_tree.value)
             yield score_sessions(lines, *b_models.value)
 
         scored = (raw.select("session_id", "message", "ts", "line_id", "source", "level")

@@ -40,30 +40,32 @@ class NGramDetector:
         self.h = h
         self.g = g
         self.use_eos = use_eos
-        # order k history tuple -> Counter of next events, for k in 1..h
-        self._tables: list[dict[tuple, Counter]] = [defaultdict(Counter) for _ in range(h)]
-        # order k history tuple -> its top-g next events, rebuilt by fit
+        # order k history tuple -> its top-g next events, built by fit
         self._top: list[dict[tuple, list[str]]] = [{} for _ in range(h)]
         self.vocab: set[str] = set()
 
     # -- training ---------------------------------------------------------
     def fit(self, sequences: Iterable[Sequence[str]]) -> "NGramDetector":
         """Train on normal sequences only (the anomaly-free regime of the
-        paper's §III experiment 1). Counts accumulate over calls; each call
-        ends by ranking every known history's candidates once, so scoring
-        only looks them up."""
+        paper's §III experiment 1), replacing any earlier fit. The counts
+        are ranked once, so the model keeps only each known history's
+        top-g candidates and scoring only looks them up."""
+        # order k history tuple -> Counter of next events, for k in 1..h
+        tables: list[dict[tuple, Counter]] = [defaultdict(Counter) for _ in range(self.h)]
+        vocab: set[str] = set()
         for seq in sequences:
             padded = [BOS] * self.h + list(seq) + ([EOS] if self.use_eos else [])
-            self.vocab.update(seq)
+            vocab.update(seq)
             if self.use_eos:
-                self.vocab.add(EOS)
+                vocab.add(EOS)
             for i in range(self.h, len(padded)):
                 nxt = padded[i]
                 for k in range(1, self.h + 1):
                     hist = tuple(padded[i - k:i])
-                    self._tables[k - 1][hist][nxt] += 1
+                    tables[k - 1][hist][nxt] += 1
         self._top = [{hist: [e for e, _ in counter.most_common(self.g)]
-                      for hist, counter in table.items()} for table in self._tables]
+                      for hist, counter in table.items()} for table in tables]
+        self.vocab = vocab
         return self
 
     # -- scoring ----------------------------------------------------------

@@ -49,39 +49,29 @@ class ValueRangeDetector:
             raise ValueError("k must be positive")
         self.k = k
         self.min_support = min_support
-        self._models: dict[tuple[str, int], _SlotModel] = {}
-        # every training value, kept so a later fit adds to them
-        self._seen: dict[tuple[str, int], list[float]] = defaultdict(list)
-        # event_id -> its modelled (slot, model) pairs, rebuilt by fit
+        # event_id -> its modelled (slot, model) pairs, built by fit
         self._slots: dict[str, list[tuple[int, _SlotModel]]] = {}
 
     def fit(self, rows: Iterable[tuple[str, Sequence[str]]]) -> "ValueRangeDetector":
-        """Train from (event_id, variable values) of *normal* lines."""
+        """Train from (event_id, variable values) of *normal* lines,
+        replacing any earlier fit. Only the slot models are kept, so the
+        model's size does not grow with the number of training values."""
+        seen: dict[tuple[str, int], list[float]] = defaultdict(list)
         for event_id, values in rows:
             for slot, v in enumerate(values):
                 x = _numeric(v)
                 if x is not None:
-                    self._seen[(event_id, slot)].append(x)
-        for key, xs in self._seen.items():
+                    seen[(event_id, slot)].append(x)
+        slots = defaultdict(list)
+        for (event_id, slot), xs in seen.items():
             if len(xs) < self.min_support:
                 continue
             arr = np.asarray(xs)
             med = float(np.median(arr))
             mad = float(np.median(np.abs(arr - med)))
-            self._models[key] = _SlotModel(median=med, scale=1.4826 * mad)
-        slots = defaultdict(list)
-        for (event_id, slot), model in self._models.items():
-            slots[event_id].append((slot, model))
+            slots[event_id].append((slot, _SlotModel(median=med, scale=1.4826 * mad)))
         self._slots = dict(slots)
         return self
-
-    def __getstate__(self) -> dict:
-        # scoring needs only the slot models: a pickled copy (a broadcast)
-        # leaves the training values out, and a fit on it starts afresh
-        return {**self.__dict__, "_seen": None}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _seen=defaultdict(list))
 
     def line_flag(self, event_id: str, values: Sequence[str]) -> bool:
         """True iff any modelled slot of this line is out of range."""
@@ -95,5 +85,5 @@ class ValueRangeDetector:
         return any(self.line_flag(e, v) for e, v in lines)
 
     def n_models(self) -> int:
-        return len(self._models)
+        return sum(map(len, self._slots.values()))
 

@@ -12,8 +12,9 @@ Three structurings, matching the paper's experiments:
 * :func:`count_matrix` — session/window x event-id count matrix feeding
   the counter-based detectors (PCA, IM, LogClustering).
 
-All aggregation is Spark DataFrame API (groupBy / window / pivot); the
-DuckDB oracle cross-checks the relational parts in tests.
+Sessionization and windowing are Spark DataFrame API (groupBy / window);
+the DuckDB oracle cross-checks them in tests. The count matrix is built on
+the driver from the collected sequences.
 """
 from __future__ import annotations
 
@@ -56,41 +57,23 @@ def time_window_sequences(df: DataFrame, *, window: str = "30 seconds",
     return agg
 
 
-def count_matrix(seq_pdf: pd.DataFrame, vocab: list[str] | None = None,
-                 *, unknown_bucket: bool = False
+def count_matrix(seq_pdf: pd.DataFrame, vocab: list[str] | None = None
                  ) -> tuple[np.ndarray, list[str], np.ndarray, list[str]]:
     """Session x event count matrix from a collected sequences frame.
 
-    Returns ``(X, vocab, labels, session_ids)``. With ``vocab`` given
-    (the training vocabulary), unseen events are dropped — the
-    closed-world behaviour whose failure modes T4 measures — unless
-    ``unknown_bucket`` adds one trailing column counting them (the
-    open-vocabulary variant the count-based detectors can opt into; the
-    returned vocab then ends with ``"<unk>"``).
+    Returns ``(X, vocab, labels, session_ids)``. The returned vocab ends
+    with ``"<unk>"``, whose column counts the events not in ``vocab`` (the
+    training vocabulary, when given), so a counter-based detector sees an
+    unseen event instead of silently dropping it. Passing a returned vocab
+    back in gives the same columns.
     """
     if vocab is None:
         vocab = sorted({e for seq in seq_pdf["events"] for e in seq})
     base = [v for v in vocab if v != "<unk>"]
     index = {e: i for i, e in enumerate(base)}
-    d = len(base) + (1 if unknown_bucket else 0)
-    X = np.zeros((len(seq_pdf), d), dtype=np.float64)
+    X = np.zeros((len(seq_pdf), len(base) + 1), dtype=np.float64)
     for r, seq in enumerate(seq_pdf["events"]):
         for e in seq:
-            i = index.get(e)
-            if i is not None:
-                X[r, i] += 1.0
-            elif unknown_bucket:
-                X[r, len(base)] += 1.0
+            X[r, index.get(e, len(base))] += 1.0
     labels = seq_pdf["label"].to_numpy(dtype=np.int64)
-    out_vocab = base + (["<unk>"] if unknown_bucket else [])
-    return X, out_vocab, labels, seq_pdf["session_id"].tolist()
-
-
-def spark_count_matrix(df: DataFrame, *, id_col: str = "session_id",
-                       event_col: str = "event_id") -> DataFrame:
-    """Long-form (session, event, count) via Spark groupBy — the
-    distributed equivalent of :func:`count_matrix`, oracle-checked in
-    tests and used when the matrix would not fit on the driver."""
-    return (df.groupBy(F.col(id_col).alias("session_id"),
-                       F.col(event_col).alias("event"))
-              .agg(F.count("*").alias("n")))
+    return X, base + ["<unk>"], labels, seq_pdf["session_id"].tolist()

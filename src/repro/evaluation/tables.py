@@ -66,9 +66,17 @@ def value_rows(pdf: pd.DataFrame):
         yield r.event_id, (r.values.split("\x1f") if r.values else [])
 
 
+def _eq1_rows(frame: pd.DataFrame, templates: list[str], prep) -> list[tuple]:
+    """Eq. 1 rows for each line of a generated ``frame``: (parsed
+    template, preprocessed message, ground-truth template and values)."""
+    return [(tpl, prep(msg), gt, values.split("\x1f") if values else [])
+            for tpl, msg, gt, values in zip(templates, frame["message"], frame["template"],
+                                            frame["values"], strict=True)]
+
+
 def _counts(train_seq: pd.DataFrame, test_seq: pd.DataFrame):
-    Xtr, vocab, _, _ = count_matrix(train_seq, unknown_bucket=True)
-    Xte, _, yte, _ = count_matrix(test_seq, vocab, unknown_bucket=True)
+    Xtr, vocab, _, _ = count_matrix(train_seq)
+    Xte, _, yte, _ = count_matrix(test_seq, vocab)
     return Xtr, Xte, yte
 
 
@@ -231,7 +239,7 @@ def run_table4(spark: SparkSession, *, n_train: int = 1500, n_test: int = 600,
     la = LogAnomalyDetector().fit(list(strain["events"]), tmap_train)
     sem = SemanticDetector().fit(
         [[tmap_train[e] for e in s] for s in ssup["events"]], ssup["label"].tolist())
-    Xtr, vocab, _, _ = count_matrix(strain, unknown_bucket=True)
+    Xtr, vocab, _, _ = count_matrix(strain)
     counter = {"PCA": PCADetector().fit(Xtr),
                "Invariant Mining": InvariantMiner().fit(Xtr),
                "LogClustering": LogClusterDetector().fit(Xtr)}
@@ -250,7 +258,7 @@ def run_table4(spark: SparkSession, *, n_train: int = 1500, n_test: int = 600,
         tseqs = [[tmap.get(e, e) for e in s] for s in stest["events"]]
         rows.append({"instability": ratio, "model": "LogRobust (semantic)",
                      **prf(y, sem.predict(tseqs)).row()})
-        Xte, _, _, _ = count_matrix(stest, vocab, unknown_bucket=True)
+        Xte, _, _, _ = count_matrix(stest, vocab)
         for name, det in counter.items():
             rows.append({"instability": ratio, "model": name,
                          **prf(y, det.predict(Xte)).row()})
@@ -268,7 +276,7 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
     import time
 
     from repro.parsing import metrics
-    from repro.parsing.distributed import parse_distributed
+    from repro.parsing.distributed import _final_templates, parse_distributed
     from repro.parsing.drain import Drain
     from repro.parsing.preprocess import preprocess
     from repro.parsing.spell import Spell
@@ -277,13 +285,6 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
                                  anomaly_rate=0.02, seed=seed))
     messages = stream["message"].tolist()
     gt_ids = stream["event_id"].tolist()
-
-    def eq1_rows(pred_templates, prep):
-        return [(pred_templates[i], prep(stream["message"].iloc[i]),
-                 stream["template"].iloc[i],
-                 stream["values"].iloc[i].split("\x1f") if stream["values"].iloc[i] else [])
-                for i in range(len(stream))]
-
     preps = {
         "none": lambda m: m,
         "structured": lambda m: preprocess(m, structured=True),
@@ -305,13 +306,8 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
             t0 = time.perf_counter()
             res = parser.parse_many(msgs)
             dt = time.perf_counter() - t0
-            final = {c.cluster_id: c.template for c in parser.clusters}
             pred = [cid for cid, _ in res]
-            pred_tpl = [final[c] for c in pred]
-            sub = stream.iloc[: len(msgs)]
-            eq1 = [(pred_tpl[i], prep(sub["message"].iloc[i]), sub["template"].iloc[i],
-                    sub["values"].iloc[i].split("\x1f") if sub["values"].iloc[i] else [])
-                   for i in range(len(sub))]
+            eq1 = _eq1_rows(stream.iloc[: len(msgs)], _final_templates(parser, pred), prep)
             rows.append({
                 "preprocessing": prep_name, "parser": name,
                 "grouping_acc": round(metrics.grouping_accuracy(ids, pred), 3),
@@ -331,8 +327,7 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
         dt = time.perf_counter() - t0
         got = got.set_index("line_id").loc[stream["line_id"]]
         pred = got["cluster_id"].tolist()
-        pred_tpl = got["template"].tolist()
-        eq1 = eq1_rows(pred_tpl, prep)
+        eq1 = _eq1_rows(stream, got["template"].tolist(), prep)
         n_glob = len({gid for gid, _ in mapping.values()})
         rows.append({
             "preprocessing": prep_name, "parser": "Distributed Drain st=0.5",
@@ -353,6 +348,7 @@ def run_table6(spark: SparkSession, *, n_sessions: int = 400,
     """The §IV JSON study on an API-style source: share of tokens in the
     structured tail, and Drain discovery quality with/without extraction."""
     from repro.parsing import metrics
+    from repro.parsing.distributed import _final_templates
     from repro.parsing.drain import Drain
     from repro.parsing.preprocess import preprocess, structured_token_share
 
@@ -367,10 +363,7 @@ def run_table6(spark: SparkSession, *, n_sessions: int = 400,
         parser = Drain(st=0.5, preprocess=prep)
         res = parser.parse_many(api["message"].tolist())
         pred = [cid for cid, _ in res]
-        final = {c.cluster_id: c.template for c in parser.clusters}
-        eq1 = [(final[pred[i]], prep(api["message"].iloc[i]), api["template"].iloc[i],
-                api["values"].iloc[i].split("\x1f") if api["values"].iloc[i] else [])
-               for i in range(len(api))]
+        eq1 = _eq1_rows(api, _final_templates(parser, pred), prep)
         rows.append({
             "json_extraction": extract,
             "structured_token_share": round(share, 3),

@@ -67,8 +67,8 @@ def _local_parse_factory(depth: int, st: float, structured: bool, mask: bool):
     return local_parse
 
 
-def merge_templates(catalogue: list[str], *, depth: int,
-                    st: float) -> tuple[Drain, dict[str, tuple[int, str]]]:
+def merge_templates(catalogue: list[str], *, depth: int = 4,
+                    st: float = 0.5) -> tuple[Drain, dict[str, tuple[int, str]]]:
     """Fold sorted local templates into one global tree, deterministically;
     returns it and the local template -> (global id, template) mapping."""
     merger = Drain(depth=depth, st=st)
@@ -107,18 +107,19 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
     return out, mapping
 
 
-def tag_lines(pdf: pd.DataFrame, tree: Drain, *, structured: bool) -> pd.DataFrame:
+def tag_lines(pdf: pd.DataFrame, tree: Drain) -> pd.DataFrame:
     """Add ``template``/``variables`` to ``pdf``: each message is
-    preprocessed and tokenized once and matched against the unchanging
-    global tree; a hit's variables are its tokens at the cluster's ``<*>``
-    positions (what :func:`~repro.parsing.drain.extract_variables` gives).
-    A miss keeps its own tokens, as a new Drain cluster's first line would,
-    and has no variables."""
+    preprocessed (with §IV structured-data extraction) and tokenized once
+    and matched against the unchanging global tree; a hit's variables are
+    its tokens at the cluster's ``<*>`` positions (what
+    :func:`~repro.parsing.drain.extract_variables` gives). A miss keeps
+    its own tokens, as a new Drain cluster's first line would, and has no
+    variables."""
     slots = {c.cluster_id: (c.template, [i for i, t in enumerate(c.tokens) if t == WILDCARD])
              for c in tree.clusters}
     templates, variables = [], []
     for message in pdf["message"]:
-        toks = tokenize(preprocess(message, structured=structured))
+        toks = tokenize(preprocess(message))
         hit = tree.match_tokens(toks)
         if hit is None:
             templates.append(" ".join(toks))
@@ -132,7 +133,7 @@ def tag_lines(pdf: pd.DataFrame, tree: Drain, *, structured: bool) -> pd.DataFra
     return pdf
 
 
-def match_fitted(df: DataFrame, b_parser: Broadcast, *, structured: bool) -> DataFrame:
+def match_fitted(df: DataFrame, b_parser: Broadcast) -> DataFrame:
     """Add ``template``/``variables`` to ``df`` in one narrow pass of
     :func:`tag_lines` against the broadcast tree ``b_parser``."""
     base = df.drop("cluster_id", "template", "variables")
@@ -143,7 +144,7 @@ def match_fitted(df: DataFrame, b_parser: Broadcast, *, structured: bool) -> Dat
 
     def tag(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            yield tag_lines(pdf, b_parser.value, structured=structured)
+            yield tag_lines(pdf, b_parser.value)
 
     return base.mapInPandas(tag, schema=schema)
 

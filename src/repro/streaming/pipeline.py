@@ -73,12 +73,12 @@ STRUCTURED_SCHEMA = T.StructType(RAW_SCHEMA.fields + [
 FLUSH_SESSION = "__flush__"
 
 
-def write_stream_files(pdf: pd.DataFrame, directory: str, *, n_files: int = 4,
-                       flush_delay_s: float = 3600.0) -> list[str]:
+def write_stream_files(pdf: pd.DataFrame, directory: str, *, n_files: int = 4) -> list[str]:
     """Materialise a generated stream as JSON files in arrival order (one
     micro-batch per file with ``maxFilesPerTrigger=1``). A trailing flush
-    record with a far-future timestamp advances the event-time watermark
-    so every session window closes."""
+    record stamped an hour after the last event (beyond any session gap
+    or watermark delay) advances the event-time watermark so every
+    session window closes."""
     os.makedirs(directory, exist_ok=True)
     pdf = pdf.sort_values("arrival_ts").reset_index(drop=True)
     paths = []
@@ -95,7 +95,7 @@ def write_stream_files(pdf: pd.DataFrame, directory: str, *, n_files: int = 4,
                     "message": r.message, "session_id": r.session_id,
                 }) + "\n")
         paths.append(path)
-    flush_ts = pd.Timestamp(pdf["ts"].max()) + pd.Timedelta(seconds=flush_delay_s)
+    flush_ts = pd.Timestamp(pdf["ts"].max()) + pd.Timedelta(hours=1)
     flush_path = os.path.join(directory, f"batch-{n_files:04d}-flush.json")
     with open(flush_path, "w") as f:
         f.write(json.dumps({

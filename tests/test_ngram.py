@@ -1,5 +1,7 @@
 """Unit tests for the DeepLog-style n-gram detector (detect.ngram)."""
+import pickle
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -107,20 +109,43 @@ def _random_flows(seed, n=300, vocab="abcdef"):
     return [[rng.choice(vocab) for _ in range(rng.randint(0, 8))] for _ in range(n)]
 
 
-def _assert_top_g_is_most_common(d):
-    for table in d._tables:
-        for hist, counter in table.items():
-            assert d._top_g(hist) == [e for e, _ in counter.most_common(d.g)]
+def _assert_top_g_is_most_common(d, flows):
+    """``d``'s fit-time table against Counter.most_common over ``flows``."""
+    tables = [defaultdict(Counter) for _ in range(d.h)]
+    for seq in flows:
+        padded = [BOS] * d.h + list(seq) + [EOS]
+        for i in range(d.h, len(padded)):
+            for k in range(1, d.h + 1):
+                tables[k - 1][tuple(padded[i - k:i])][padded[i]] += 1
+    assert d._top == [{hist: [e for e, _ in counter.most_common(d.g)]
+                       for hist, counter in table.items()} for table in tables]
 
 
 def test_top_g_table_equals_most_common_across_fits():
     # a small g over a small vocabulary cuts through ties, so the
-    # fit-time table must keep Counter.most_common's tie order
-    d = NGramDetector(h=2, g=2).fit(_random_flows(1))
-    _assert_top_g_is_most_common(d)
-    d.fit(_random_flows(2, vocab="abcdefgh"))  # counts accumulate
-    _assert_top_g_is_most_common(d)
+    # fit-time table must keep Counter.most_common's tie order; a second
+    # fit's table holds its own flows' counts only
+    d = NGramDetector(h=2, g=2)
+    for flows in (_random_flows(1), _random_flows(2, vocab="abcdefgh")):
+        _assert_top_g_is_most_common(d.fit(flows), flows)
     assert d._top_g(("g",)) is not None
+
+
+def test_second_fit_predicts_like_fresh_fit():
+    first, second = _random_flows(5, vocab="abcd"), _random_flows(6, vocab="cdefg")
+    refit = NGramDetector(h=2, g=2).fit(first).fit(second)
+    fresh = NGramDetector(h=2, g=2).fit(second)
+    probes = first + second + _random_flows(7, vocab="abcdefgh")
+    assert refit.vocab == fresh.vocab
+    assert refit.predict(probes) == fresh.predict(probes)
+    assert any(refit.predict(first))  # "a" and "b" are unseen again
+
+
+def test_pickle_size_independent_of_training_repeats():
+    flows = _random_flows(8, n=20)
+    once = NGramDetector(h=3, g=2).fit(flows)
+    many = NGramDetector(h=3, g=2).fit(flows * 1000)
+    assert len(pickle.dumps(many)) == len(pickle.dumps(once))
 
 
 def test_is_anomalous_equals_any_window_flag():

@@ -82,8 +82,9 @@ def test_n_models_counts_slots(trained):
 
 def _reference_line_flag(d, event_id, values):
     """The per-slot lookup the fit-time slot index replaces."""
+    models = {(e, slot): model for e, pairs in d._slots.items() for slot, model in pairs}
     for slot, v in enumerate(values):
-        model = d._models.get((event_id, slot))
+        model = models.get((event_id, slot))
         x = None if model is None else _numeric(v)
         if x is not None and not model.in_range(x, d.k):
             return True
@@ -96,10 +97,12 @@ def test_slot_index_follows_second_fit():
         ("ev.a", ["x", str(int(g.integers(100, 200)))]) for _ in range(50))
     assert d.line_flag("ev.a", ["x", "5000"])
     assert not d.line_flag("ev.b", ["5000", "1"])
-    # the second fit adds a new event and shifts ev.a's median
-    d.fit([("ev.a", ["x", str(int(g.integers(4900, 5100)))]) for _ in range(200)]
+    # the second fit replaces the first: ev.a is modelled on its five new
+    # values alone, and ev.b is new
+    d.fit([("ev.a", ["x", str(int(g.integers(4900, 5100)))]) for _ in range(5)]
           + [("ev.b", [str(int(g.integers(10, 20))), "7"]) for _ in range(50)])
     assert not d.line_flag("ev.a", ["x", "5000"])
+    assert d.line_flag("ev.a", ["x", "150"])
     assert d.line_flag("ev.b", ["5000", "7"])
     assert d.line_flag("ev.b", ["15", "9000"])
     probes = [(e, [str(a), str(b)]) for e in ("ev.a", "ev.b", "ev.c")
@@ -107,6 +110,19 @@ def test_slot_index_follows_second_fit():
     probes += [("ev.a", []), ("ev.a", ["x"]), ("ev.b", ["15"]), ("ev.b", ["15", "7", "1e9"])]
     assert [d.line_flag(e, v) for e, v in probes] == \
         [_reference_line_flag(d, e, v) for e, v in probes]
+
+
+def test_second_fit_predicts_like_fresh_fit():
+    first = list(_train_rows(n=100, seed=1)) + [("ev.a", ["7"])] * 20
+    # ev.send falls below min_support in the second input
+    second = list(_train_rows(n=3, seed=2)) + [("ev.b", ["40", "x"])] * 20
+    refit = ValueRangeDetector(k=6).fit(first).fit(second)
+    fresh = ValueRangeDetector(k=6).fit(second)
+    probes = [(e, [str(a), "x"]) for e in ("ev.send", "ev.a", "ev.b")
+              for a in (-5000, 7, 40, 150, 99999999)]
+    assert [refit.line_flag(e, v) for e, v in probes] == \
+        [fresh.line_flag(e, v) for e, v in probes]
+    assert refit.n_models() == fresh.n_models() == 1
 
 
 def test_pickled_detector_flags_like_original(trained):

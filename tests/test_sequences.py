@@ -5,8 +5,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.detect.sequences import (count_matrix, session_sequences,
-                                    spark_count_matrix, time_window_sequences)
+from repro.detect.sequences import count_matrix, session_sequences, time_window_sequences
 from repro.loggen.generator import StreamSpec, generate
 from repro.oracle import assert_equivalent
 
@@ -20,16 +19,6 @@ def stream():
 @pytest.fixture(scope="module")
 def sdf(spark, stream):
     return spark.createDataFrame(stream).cache()
-
-
-def test_spark_count_matrix_matches_duckdb(spark, sdf, stream):
-    got = spark_count_matrix(sdf)
-    assert_equivalent(
-        got,
-        "SELECT session_id, event_id AS event, count(*) AS n "
-        "FROM logs GROUP BY session_id, event_id",
-        logs=stream,
-    )
 
 
 def test_session_labels_match_duckdb(spark, sdf, stream):
@@ -103,25 +92,18 @@ def test_count_matrix_roundtrip(stream):
     assert (X.sum(axis=1) == pdf["events"].apply(len).to_numpy()).all()
 
 
-def test_count_matrix_fixed_vocab_drops_unknown(stream):
-    pdf = pd.DataFrame({"session_id": ["a"], "events": [["x", "y", "x"]],
-                        "label": [0]})
-    X, vocab, _, _ = count_matrix(pdf, vocab=["x"])
-    assert X.shape == (1, 1) and X[0, 0] == 2
-
-
 def test_count_matrix_unknown_bucket(stream):
     pdf = pd.DataFrame({"session_id": ["a"], "events": [["x", "y", "z"]],
                         "label": [0]})
-    X, vocab, _, _ = count_matrix(pdf, vocab=["x"], unknown_bucket=True)
+    X, vocab, _, _ = count_matrix(pdf, vocab=["x"])
     assert vocab == ["x", "<unk>"]
     assert X[0, 0] == 1 and X[0, 1] == 2
 
 
 def test_count_matrix_unknown_bucket_idempotent_vocab(stream):
     pdf = pd.DataFrame({"session_id": ["a"], "events": [["x"]], "label": [1]})
-    X1, vocab1, y, _ = count_matrix(pdf, unknown_bucket=True)
-    X2, vocab2, _, _ = count_matrix(pdf, vocab1, unknown_bucket=True)
+    X1, vocab1, y, _ = count_matrix(pdf)
+    X2, vocab2, _, _ = count_matrix(pdf, vocab1)
     assert vocab1 == vocab2
     np.testing.assert_array_equal(X1, X2)
     assert y[0] == 1

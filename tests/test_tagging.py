@@ -11,20 +11,20 @@ from repro.parsing.drain import Drain, extract_variables, tokenize
 from repro.parsing.preprocess import preprocess
 
 
-def _reference(messages, tree, structured=True):
+def _reference(messages, tree):
     """Tag each line on its own: preprocess, match, re-tokenize."""
     templates, variables = [], []
     for m in messages:
-        text = preprocess(m, structured=structured)
+        text = preprocess(m)
         hit = tree.match_only(text)
         templates.append(hit[1] if hit else " ".join(tokenize(text)))
         variables.append(extract_variables(hit[1], text) if hit else [])
     return templates, variables
 
 
-def _assert_tags_as_reference(messages, tree, structured=True):
-    tagged = tag_lines(pd.DataFrame({"message": messages}), tree, structured=structured)
-    templates, variables = _reference(messages, tree, structured)
+def _assert_tags_as_reference(messages, tree):
+    tagged = tag_lines(pd.DataFrame({"message": messages}), tree)
+    templates, variables = _reference(messages, tree)
     assert tagged["template"].tolist() == templates
     assert tagged["variables"].tolist() == variables
     return tagged
@@ -88,12 +88,6 @@ def test_structured_tails():
     tagged = _assert_tags_as_reference(
         ["request served {}",                       # JSON tail, no key/values: kept
          "login ok <user>bob</user>",               # XML tail: stripped
-         "login ok {user_id=7, name=x}",            # JSON tail: stripped
-         "login ok <user>bob</user>"], tree, structured=False)
-    assert tagged["template"].tolist() == ["request served {}", "login ok <user>bob</user>",
-                                           "login ok {user_id=7, name=x}",
-                                           "login ok <user>bob</user>"]
-    tagged = _assert_tags_as_reference(
-        ["request served {}", "login ok <user>bob</user>", "login ok {user_id=7, name=x}"],
+         "login ok {user_id=7, name=x}"],           # JSON tail: stripped
         tree)
     assert tagged["template"].tolist() == ["request served {}", "login ok", "login ok"]
