@@ -3,8 +3,11 @@
 ``MoniLog`` wires the components end-to-end over Spark DataFrames:
 
 1. **Parse** — ``fit`` learns a template tree with distributed Drain (with
-   §IV structured-data extraction); every line is then matched against it
-   once, giving its ``template`` (event identity) and ``variables``;
+   §IV structured-data extraction) in one Spark job that ships only each
+   partition's distinct templates to the driver
+   (:func:`~repro.parsing.distributed.learn_templates`); every line is
+   then matched against it once, giving its ``template`` (event identity)
+   and ``variables``;
 2. **Detect** — the raw lines are shuffled once on ``session_id``; one
    partition-local ``mapInPandas`` pass tags them (the same
    :func:`~repro.parsing.distributed.tag_lines` as ``parse``) and scores
@@ -38,12 +41,12 @@ from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import (PRED_COLUMNS, SCORED_SCHEMA, score_sessions,
                                   session_reports)
-from repro.parsing.distributed import (match_fitted, merge_templates, parse_distributed,
-                                       tag_lines)
+from repro.parsing.distributed import learn_templates, match_fitted, tag_lines
 from repro.parsing.drain import Drain
 # perfbench's traced runs patch these names on this module, so they stay
 # importable here although nothing here calls them
 from repro.detect.scoring import score_sequences  # noqa: F401
+from repro.parsing.distributed import parse_distributed  # noqa: F401
 from repro.parsing.drain import extract_variables  # noqa: F401
 from repro.detect.sequences import session_sequences  # noqa: F401
 
@@ -79,11 +82,10 @@ class MoniLog:
         identity: unlike cluster ids, it does not depend on parse order.
         A refit replaces the tree and both models, and their broadcasts:
         nothing learned from an earlier stream carries over."""
-        _, mapping = parse_distributed(train_raw)
-        self.parser, _ = merge_templates(sorted(mapping))
+        self.parser, _ = learn_templates(train_raw)
         self._b_parser = self._rebroadcast(self._b_parser, self.parser)
-        lines = (self.parse(train_raw)
-                 .select("session_id", "ts", "line_id", "template", "variables")
+        lines = (self.parse(train_raw.select("session_id", "ts", "line_id", "message"))
+                 .drop("message")
                  .toPandas()
                  .sort_values(["session_id", "ts", "line_id"]))
         self.seq_model = NGramDetector().fit(

@@ -5,27 +5,33 @@ scheme here ("distributed version of research tree-based log parsing
 method") makes one parse pass over a Spark DataFrame of messages:
 
 1. **Partition-local parse** (``mapInPandas``): each partition grows one
-   Drain tree over all of its rows and tags every row, with all of its
-   columns, with its cluster's *final* local template. Embarrassingly
-   parallel; no shared state; the result does not depend on how Arrow
-   batches the partition. It is materialised once (``localCheckpoint``),
-   so the catalogue and the caller read the same parse.
+   Drain tree over all of its rows and tags every row with its cluster's
+   *final* local template. Embarrassingly parallel; no shared state; the
+   result does not depend on how Arrow batches the partition.
 2. **Driver-side template merge**: the distinct local templates (tiny —
    hundreds of strings, not millions of lines) are folded, in sorted
    order, into a single global Drain tree by re-parsing the *templates*;
-   each local template maps to a global cluster id. One broadcast join on
-   the local template string then gives every row its global id and
-   merged template. There is no join back on ``line_id``, so every input
-   row, duplicates included, yields exactly one output row.
+   each local template maps to a global cluster id.
+
+:func:`learn_templates` stops there: its local pass reads only the
+``message`` column and yields each partition's distinct local templates,
+not one row per line, so learning the tree is one Spark job with no
+shuffle. :func:`parse_distributed` also keeps the tagged rows, with all
+of their columns: it materialises the local parse once
+(``localCheckpoint``), so the catalogue and the caller read the same
+parse, and one broadcast join on the local template string then gives
+every row its global id and merged template. There is no join back on
+``line_id``, so every input row, duplicates included, yields exactly one
+output row.
 
 Merging templates instead of lines preserves Drain's clustering
 semantics (two local templates merge iff Drain itself would put them in
 one leaf cluster) while touching the driver with O(templates), not
 O(lines) — the scalability property §II requires of every MoniLog
-component. ``MoniLog.fit`` learns the global tree once this way; every
-later line is tagged against that fixed tree by :func:`tag_lines`, either
-in :func:`match_fitted`'s narrow pass or inside ``MoniLog.detect``'s
-fused tag-and-score pass.
+component. ``MoniLog.fit`` learns the global tree once with
+:func:`learn_templates`; every later line is tagged against that fixed
+tree by :func:`tag_lines`, either in :func:`match_fitted`'s narrow pass
+or inside ``MoniLog.detect``'s fused tag-and-score pass.
 """
 from __future__ import annotations
 
@@ -54,6 +60,9 @@ def _final_templates(parser: Drain, ids) -> list[str]:
 
 
 def _local_parse_factory(depth: int, st: float, structured: bool, mask: bool):
+    """The partition-local Drain step both :func:`learn_templates` and
+    :func:`parse_distributed` run: the partition's rows, each with its
+    cluster's final ``local_template``."""
     def local_parse(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         parts = list(batches)
         if not parts:  # an empty partition gets no batch
@@ -74,6 +83,27 @@ def merge_templates(catalogue: list[str], *, depth: int = 4,
     merger = Drain(depth=depth, st=st)
     gids = [gid for gid, _ in merger.parse_many(catalogue)]
     return merger, dict(zip(catalogue, zip(gids, _final_templates(merger, gids))))
+
+
+def learn_templates(df: DataFrame) -> tuple[Drain, dict[str, tuple[int, str]]]:
+    """Learn the global template tree from ``df``'s ``message`` column with
+    distributed Drain at its defaults and §IV structured-data extraction.
+    Returns what :func:`merge_templates` returns for the sorted catalogue
+    of final local templates, which is the catalogue
+    :func:`parse_distributed` folds over the same partitions. One Spark
+    job: each partition sends the driver only its distinct templates.
+    Partitions by position (files, in-memory frames) are the same for
+    every projection; a round-robin ``repartition`` places rows by their
+    projected content, so reading ``message`` alone can move rows."""
+    local_parse = _local_parse_factory(depth=4, st=0.5, structured=True, mask=False)
+
+    def local_catalogue(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in local_parse(batches):
+            yield pdf[["local_template"]].drop_duplicates()
+
+    rows = (df.select("message")
+            .mapInPandas(local_catalogue, schema="local_template string").collect())
+    return merge_templates(sorted({r["local_template"] for r in rows}))
 
 
 def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,

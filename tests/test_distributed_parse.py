@@ -4,7 +4,8 @@ import pytest
 from repro.loggen import instability
 from repro.loggen.generator import StreamSpec, generate
 from repro.parsing import distributed, metrics
-from repro.parsing.distributed import parse_distributed, parse_single_node
+from repro.parsing.distributed import (learn_templates, merge_templates, parse_distributed,
+                                       parse_single_node)
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +130,14 @@ def test_local_templates_independent_of_arrow_batch_size(spark, stream):
     assert small[1] == default[1]
 
 
-def test_local_pass_parses_each_line_once(spark, stream, monkeypatch):
+@pytest.fixture
+def local_parses(spark, monkeypatch):
+    """An accumulator of the lines the partition-local Drain step parses."""
     parsed_lines = spark.sparkContext.accumulator(0)
     factory = distributed._local_parse_factory
 
-    def counting_factory(*args):
-        local_parse = factory(*args)
+    def counting_factory(*args, **kwargs):
+        local_parse = factory(*args, **kwargs)
 
         def counted(batches):
             for pdf in local_parse(batches):
@@ -144,7 +147,40 @@ def test_local_pass_parses_each_line_once(spark, stream, monkeypatch):
         return counted
 
     monkeypatch.setattr(distributed, "_local_parse_factory", counting_factory)
+    return parsed_lines
+
+
+def test_local_pass_parses_each_line_once(spark, stream, local_parses):
     sdf = spark.createDataFrame(stream[["line_id", "message"]]).repartition(8)
     out, _ = parse_distributed(sdf)
     assert len(out.toPandas()) == len(stream)
-    assert parsed_lines.value == len(stream)
+    assert local_parses.value == len(stream)
+
+
+def test_learning_pass_parses_each_line_once(spark, stream, local_parses):
+    learn_templates(spark.createDataFrame(stream[["line_id", "message"]]).repartition(8))
+    assert local_parses.value == len(stream)
+
+
+def _sliced(spark, pdf, partitions):
+    """``pdf``'s line ids and messages in ``partitions`` slices by position.
+    A round-robin ``repartition`` would place rows by their projected
+    content, so reading fewer columns could move a row to another
+    partition; slicing keeps the partitions of every projection equal."""
+    rows = list(zip(pdf["line_id"].tolist(), pdf["message"].tolist()))
+    return spark.createDataFrame(spark.sparkContext.parallelize(rows, partitions),
+                                 "line_id long, message string")
+
+
+@pytest.mark.parametrize("case, partitions",
+                         [("all", 1), ("all", 4), ("all", 16), ("ten", 16), ("dup", 8)])
+def test_learn_templates_equals_parse_distributed_fold(spark, stream, case, partitions):
+    # "ten" has more partitions than rows; "dup" repeats lines with their line_id
+    dup, counts = instability.inject(stream, 0.2, kinds=("dup",), seed=5)
+    assert counts["dup"] > 0
+    sdf = _sliced(spark, {"all": stream, "ten": stream.head(10), "dup": dup}[case], partitions)
+    tree, mapping = learn_templates(sdf)
+    ref_tree, ref_mapping = merge_templates(sorted(parse_distributed(sdf)[1]))
+    assert mapping == ref_mapping
+    assert ([(c.cluster_id, c.template) for c in tree.clusters]
+            == [(c.cluster_id, c.template) for c in ref_tree.clusters])

@@ -5,9 +5,12 @@ import pytest
 
 from repro.classify.pools import DEFAULT_POOL
 from repro.core.monilog import MoniLog
+from repro.detect.ngram import NGramDetector
+from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import PRED_COLUMNS, score_sessions, session_reports
 from repro.evaluation.labels import prf
 from repro.loggen.generator import StreamSpec, generate
+from repro.parsing.distributed import match_fitted, merge_templates, parse_distributed
 
 
 TRAIN = StreamSpec(n_sessions=400, n_sources=2, anomaly_rate=0.0, seed=70)
@@ -174,3 +177,43 @@ def test_frame_parsed_before_refit_still_runs(spark):
     # unpersisted, not destroyed, so the earlier frame still reads its tree
     assert len(set(os.listdir(tmp)) - before) == 2
     assert frame.toPandas().equals(expect)
+
+
+def test_fit_equals_full_width_parse_and_tag(spark, fitted):
+    # reference: the full-width distributed parse, a second merge of its
+    # catalogue, then tagging every generator column of the training stream
+    train = spark.createDataFrame(generate(TRAIN))
+    tree, _ = merge_templates(sorted(parse_distributed(train)[1]))
+    b_tree = spark.sparkContext.broadcast(tree)
+    try:
+        lines = (match_fitted(train, b_tree).toPandas()
+                 .sort_values(["session_id", "ts", "line_id"]))
+        test = spark.createDataFrame(generate(StreamSpec(n_sessions=150, n_sources=2,
+                                                         anomaly_rate=0.1, seed=71)))
+        tagged = match_fitted(test, b_tree).toPandas()
+    finally:
+        b_tree.destroy()
+    seq = NGramDetector().fit(lines.groupby("session_id", sort=False)["template"].agg(list))
+    quant = ValueRangeDetector().fit(zip(lines["template"], lines["variables"]))
+    assert ([(c.cluster_id, c.template) for c in fitted.parser.clusters]
+            == [(c.cluster_id, c.template) for c in tree.clusters])
+    assert fitted.seq_model._top == seq._top and fitted.seq_model.vocab == seq.vocab
+    assert fitted.quant_model._slots == quant._slots
+    ref = score_sessions(tagged, seq, quant)
+    assert ref["pred"].sum() > 0
+    assert _by_session(fitted.detect(test)[0]).equals(_by_session(ref[PRED_COLUMNS]))
+
+
+def test_fit_runs_two_spark_jobs(spark):
+    # one learning pass over the messages, one tagging pass collected for
+    # the models; counted as perfbench's trace.count_jobs counts them
+    sc = spark.sparkContext
+    train = spark.createDataFrame(generate(StreamSpec(n_sessions=50, n_sources=2, seed=79)))
+    group = "test-fit-jobs"
+    sc.setJobGroup(group, group)
+    try:
+        MoniLog(spark).fit(train)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 2
