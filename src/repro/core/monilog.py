@@ -9,7 +9,7 @@
    then matched against it once, giving its ``template`` (event identity)
    and ``variables``;
 2. **Detect** — the raw lines are shuffled once on ``session_id``; one
-   partition-local ``mapInPandas`` pass tags them (the same
+   partition-local ``mapInArrow`` pass tags them column-wise (the same
    :func:`~repro.parsing.distributed.tag_lines` as ``parse``) and scores
    each session with :func:`~repro.detect.scoring.score_sessions`, the
    single scoring path shared with streaming stage B (event-time order;
@@ -32,8 +32,11 @@ each micro-batch of closed session windows with the same
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.pandas.types import to_arrow_schema
+from pyspark.sql.types import StructType
 
 from repro.classify.classifier import AnomalyClassifier
 from repro.classify.pools import AnomalyReport, PoolSystem
@@ -41,7 +44,7 @@ from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import (PRED_COLUMNS, SCORED_SCHEMA, score_sessions,
                                   session_reports)
-from repro.parsing.distributed import learn_templates, match_fitted, tag_lines
+from repro.parsing.distributed import arrow_frame, learn_templates, match_fitted, tag_lines
 from repro.parsing.drain import Drain
 # perfbench's traced runs patch these names on this module, so they stay
 # importable here although nothing here calls them
@@ -106,17 +109,19 @@ class MoniLog:
         if self._b_parser is None:
             raise RuntimeError("call fit() first")
         b_tree, b_models = self._b_parser, self._b_models
+        out_schema = to_arrow_schema(StructType.fromDDL(SCORED_SCHEMA))
 
         def run(batches):
             parts = list(batches)  # a session can span Arrow batches
             if not parts:  # an empty partition gets no batch
                 return
-            lines = tag_lines(pd.concat(parts, ignore_index=True), b_tree.value)
-            yield score_sessions(lines, *b_models.value)
+            lines = tag_lines(arrow_frame(parts), b_tree.value)
+            yield pa.RecordBatch.from_pandas(score_sessions(lines, *b_models.value),
+                                             schema=out_schema, preserve_index=False)
 
         scored = (raw.select("session_id", "message", "ts", "line_id", "source", "level")
                   .repartition("session_id")
-                  .mapInPandas(run, schema=SCORED_SCHEMA).toPandas())
+                  .mapInArrow(run, schema=SCORED_SCHEMA).toPandas())
         return scored[PRED_COLUMNS], session_reports(scored)
 
     # -- step 3: classification -------------------------------------------

@@ -5,11 +5,12 @@ distributable).
 :func:`score_sessions` is the one implementation of MoniLog's step-2 rule
 (DeepLog's composition): a session is anomalous iff the sequential top-g
 model or the quantitative value-range model raises. It takes flat tagged
-lines (one row per line, carrying its ``session_id``) and uses only
-pandas and the models, so ``MoniLog.detect`` runs it partition-parallel
-in ``mapInPandas``, after one shuffle that puts every line of a session
-in one partition, and streaming stage B runs it on the driver over the
-flattened lines of a micro-batch of closed session windows.
+lines (one row per line, carrying its ``session_id``), works on them as
+Arrow and numpy columns, and needs nothing but the models, so
+``MoniLog.detect`` runs it partition-parallel in ``mapInArrow``, after
+one shuffle that puts every line of a session in one partition, and
+streaming stage B runs it on the driver over the flattened lines of a
+micro-batch of closed session windows.
 
 Training stays on the driver (models are small: flow tables, centroids,
 a weight vector); *scoring* is the per-line/per-session hot path, so it
@@ -22,9 +23,12 @@ from typing import Iterator, Mapping
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 
 from repro.classify.pools import AnomalyReport, make_report
+from repro.parsing.distributed import arrow_column
 
 # the per-line columns score_sessions reads, besides session_id
 LINE_FIELDS = ("ts", "line_id", "source", "level", "template", "variables")
@@ -37,28 +41,52 @@ def score_sessions(lines: pd.DataFrame, seq_model, quant_model) -> pd.DataFrame:
     """Score flat tagged lines (``session_id`` + :data:`LINE_FIELDS`), one
     row per session.
 
-    Lines are ordered by ``(session_id, ts, line_id)`` in one sort: event
-    time, not arrival order, defines each flow. A session's template
-    sequence goes to ``seq_model.is_anomalous``; each line's ``variables``
-    go to ``quant_model.session_flag``. Returns :data:`PRED_COLUMNS` plus,
-    for flagged sessions only (None otherwise), the report payload
-    ``source``, ``events`` (templates) and ``levels`` in line order.
+    Lines are ordered by ``(session_id, ts, line_id)`` in one stable sort:
+    event time, not arrival order, defines each flow. A session's template
+    sequence goes to ``seq_model.is_anomalous``, once per distinct
+    sequence; the quantitative flags of all lines come from one
+    ``quant_model.line_flags`` pass (``session_flag`` of each session,
+    column-wise). Returns :data:`PRED_COLUMNS` plus, for flagged sessions
+    only (None otherwise), the report payload ``source``, ``events``
+    (templates) and ``levels`` in line order.
     """
-    lines = lines.sort_values(["session_id", "ts", "line_id"])
-    sids = lines["session_id"].to_numpy()
-    events, variables, levels, sources = (lines[c].tolist() for c in
-                                          ("template", "variables", "level", "source"))
-    starts = [0, *(np.flatnonzero(sids[1:] != sids[:-1]) + 1)] if len(sids) else []
-    rows = []
-    for a, b in zip(starts, starts[1:] + [len(sids)]):
-        seq = seq_model.is_anomalous(events[a:b])
-        quant = quant_model.session_flag(zip(events[a:b], variables[a:b]))
-        pred = seq or quant
-        rows.append((sids[a], int(seq), int(quant), int(pred),
-                     sources[a] if pred else None,
-                     events[a:b] if pred else None,
-                     levels[a:b] if pred else None))
-    return pd.DataFrame(rows, columns=PRED_COLUMNS + ["source", "events", "levels"])
+    if lines.empty:
+        return pd.DataFrame(columns=PRED_COLUMNS + ["source", "events", "levels"])
+    cols = {c: arrow_column(lines[c]) for c in ("session_id", "ts", "line_id")}
+    templates = arrow_column(lines["template"]).cast(pa.string())
+    variables = arrow_column(lines["variables"]).cast(pa.list_(pa.string()))
+    order = pc.sort_indices(pa.table(cols), sort_keys=[(c, "ascending") for c in cols]).to_numpy()
+    sids = pc.dictionary_encode(cols["session_id"].take(order))
+    starts = np.flatnonzero(np.diff(sids.indices.to_numpy(), prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    quant = np.logical_or.reduceat(quant_model.line_flags(templates, variables)[order], starts)
+
+    events = pc.dictionary_encode(templates.take(order))
+    names, codes = events.dictionary.to_pylist(), events.indices.to_numpy().tolist()
+    verdicts: dict[tuple, bool] = {}  # sessions of one flow share one verdict
+    seq = np.zeros(len(starts), bool)
+    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        flow = tuple(codes[a:b])
+        if flow not in verdicts:
+            verdicts[flow] = seq_model.is_anomalous([names[c] for c in flow])
+        seq[i] = verdicts[flow]
+    pred = seq | quant
+
+    # the report payload, for flagged sessions only
+    flagged = np.flatnonzero(pred)
+    sizes = ends[flagged] - starts[flagged]
+    rows = order[np.concatenate([np.arange(starts[i], ends[i]) for i in flagged] or [[]])
+                 .astype(np.int64)]
+    src, evs, lvl = (arrow_column(lines[c]).take(rows).to_pylist()
+                     for c in ("source", "template", "level"))
+    payload = {c: [None] * len(starts) for c in ("source", "events", "levels")}
+    for i, b, size in zip(flagged, np.cumsum(sizes), sizes):
+        a = b - size
+        payload["source"][i], payload["events"][i], payload["levels"][i] = \
+            src[a], evs[a:b], lvl[a:b]
+    return pd.DataFrame({"session_id": sids.dictionary.take(sids.indices.take(starts)).to_pylist(),
+                         "seq_pred": seq.astype(np.int32), "quant_pred": quant.astype(np.int32),
+                         "pred": pred.astype(np.int32), **payload})
 
 
 def session_reports(scored: pd.DataFrame) -> list[AnomalyReport]:

@@ -37,14 +37,17 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark import Broadcast
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.parsing.drain import WILDCARD, Drain, tokenize
-from repro.parsing.preprocess import preprocess
+from repro.parsing.preprocess import extract_structured_column, preprocess
 
 
 def _drain(depth: int, st: float, structured: bool, mask: bool) -> Drain:
@@ -137,46 +140,188 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
     return out, mapping
 
 
-def tag_lines(pdf: pd.DataFrame, tree: Drain) -> pd.DataFrame:
-    """Add ``template``/``variables`` to ``pdf``: each message is
-    preprocessed (with §IV structured-data extraction) and tokenized once
-    and matched against the unchanging global tree; a hit's variables are
-    its tokens at the cluster's ``<*>`` positions (what
-    :func:`~repro.parsing.drain.extract_variables` gives). A miss keeps
-    its own tokens, as a new Drain cluster's first line would, and has no
-    variables."""
-    slots = {c.cluster_id: (c.template, [i for i, t in enumerate(c.tokens) if t == WILDCARD])
-             for c in tree.clusters}
+_WILD = -2  # the code of a <*> route key or template position; tokens are >= 0
+
+
+def arrow_column(col: pd.Series) -> pa.Array:
+    """``col`` as one Arrow array, without a copy if it is one Arrow chunk."""
+    if isinstance(col.dtype, pd.ArrowDtype):
+        return col.array.__arrow_array__().combine_chunks()
+    return pa.array(col.to_numpy(dtype=object) if col.dtype == object else col,
+                    from_pandas=True)
+
+
+def _lines_with(messages: pa.Array, byte_test) -> np.ndarray:
+    """Which ``messages`` hold a UTF-8 byte for which ``byte_test`` holds."""
+    _, offs, data = messages.buffers()
+    offsets = np.frombuffer(offs, np.int32)[messages.offset:messages.offset + len(messages) + 1]
+    found = np.zeros(len(messages), bool)
+    if data is not None and len(messages):
+        raw = np.frombuffer(data, np.uint8)[offsets[0]:offsets[-1]]
+        at = np.flatnonzero(byte_test(raw)) + offsets[0]
+        found[np.searchsorted(offsets, at, side="right") - 1] = True
+    return found
+
+
+def _tag_each(messages: list[str], tree: Drain) -> tuple[list[str], list[list[str]]]:
+    """The per-line reference: preprocess, tokenize and match each line on
+    its own; a hit's variables are its tokens at the cluster's ``<*>``s."""
     templates, variables = [], []
-    for message in pdf["message"]:
+    for message in messages:
         toks = tokenize(preprocess(message))
         hit = tree.match_tokens(toks)
-        if hit is None:
-            templates.append(" ".join(toks))
-            variables.append([])
-        else:
-            template, wild = slots[hit.cluster_id]
-            templates.append(template)
-            variables.append([toks[i] for i in wild])
-    pdf["template"] = templates
-    pdf["variables"] = variables
+        templates.append(" ".join(toks) if hit is None else hit.template)
+        variables.append([] if hit is None else
+                         [t for t, c in zip(toks, hit.tokens) if c == WILDCARD])
+    return templates, variables
+
+
+def _tag_column(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
+    """:func:`_tag_each` of printable-ASCII ``messages``, column-wise: one
+    tokenization of the whole column, one tree walk per distinct routing
+    key, and one similarity matrix per key over the lines' token codes."""
+    n_lines = len(messages)
+    tails = _lines_with(messages, lambda b: (b == ord("{")) | (b == ord("<")))
+    if tails.any():  # §IV structured tails need an opening brace or bracket
+        mask = pa.array(tails)
+        messages = pc.replace_with_mask(messages, mask,
+                                        extract_structured_column(messages.filter(mask)))
+    split = pc.split_pattern(messages, " ")
+    pieces = split.flatten()
+    counts = pc.list_value_length(split).to_numpy().astype(np.int64)
+    keep = pc.binary_length(pieces).to_numpy() > 0  # runs of spaces leave empty pieces
+    if not keep.all():
+        pieces = pieces.filter(pa.array(keep))
+        counts = np.bincount(pc.list_parent_indices(split).to_numpy()[keep],
+                             minlength=n_lines)
+    starts = np.zeros(n_lines + 1, np.int64)
+    np.cumsum(counts, out=starts[1:])
+    encoded = pc.dictionary_encode(pieces)
+    codes, vocab = encoded.indices.to_numpy(), encoded.dictionary
+    # each template token's code in this column; -1 if no line has it
+    tree_vocab = sorted({t for c in tree.clusters for t in c.tokens} - {WILDCARD})
+    code_of = dict(zip(tree_vocab, pc.index_in(pa.array(tree_vocab, pa.string()),
+                                               value_set=vocab).fill_null(-1).to_numpy()))
+    code_of[WILDCARD] = _WILD
+
+    # routing key: the token count, then the first depth-2 tokens (digits: <*>)
+    digit = pc.match_substring_regex(vocab, "[0-9]").to_numpy(zero_copy_only=False)
+    route = np.full((n_lines, tree.depth - 1), -1, np.int64)
+    route[:, 0] = counts
+    group = counts
+    for j in range(1, tree.depth - 1):
+        has = counts >= j
+        c = codes[starts[:-1][has] + j - 1]
+        route[has, j] = np.where(digit[c], _WILD, c)
+        _, group = np.unique(group * (len(vocab) + 2) + route[:, j] + 2, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group))
+
+    line_cluster = np.full(n_lines, -1, np.int64)  # the matched cluster's id
+    for lo, hi in zip(np.concatenate([[0], bounds[:-1]]), bounds):
+        rows = order[lo:hi]
+        n, *key = route[rows[0]]
+        leaf = tree.leaf([int(n), *(WILDCARD if r == _WILD else vocab[int(r)].as_py()
+                                    for r in key if r != -1)])
+        clusters = [c for c in leaf or () if len(c.tokens) == n]
+        if not clusters:
+            continue
+        tmpl = np.array([[code_of[t] for t in c.tokens] for c in clusters],
+                        np.int64).reshape(len(clusters), n)
+        toks = codes[starts[rows][:, None] + np.arange(n)]
+        # Drain's simSeq: matching positions over length; <*> matches any token
+        same = ((toks[None] == tmpl[:, None]) | (tmpl == _WILD)[:, None]).sum(2)
+        sim = same / n if n else np.ones(same.shape)
+        best = sim.argmax(0)  # the first cluster wins ties
+        ok = sim[best, np.arange(len(rows))] >= tree.st
+        line_cluster[rows[ok]] = np.array([c.cluster_id for c in clusters])[best[ok]]
+
+    # a hit's variables: its tokens at the cluster's <*> positions
+    hit = line_cluster >= 0
+    ids, line_hit = np.unique(line_cluster[hit], return_inverse=True)
+    by_id = {c.cluster_id: c for c in tree.clusters}
+    hits = [by_id[i] for i in ids.tolist()]
+    wild = [np.flatnonzero(np.array(c.tokens, dtype=object) == WILDCARD) for c in hits]
+    n_vars = np.zeros(n_lines, np.int64)
+    n_vars[hit] = np.array([len(w) for w in wild], np.int64)[line_hit]
+    var_starts = np.zeros(n_lines + 1, np.int64)
+    np.cumsum(n_vars, out=var_starts[1:])
+    take = np.empty(var_starts[-1], np.int64)
+    hit_rows = np.flatnonzero(hit)
+    for i, w in enumerate(wild):
+        if len(w):
+            rows = hit_rows[line_hit == i]
+            take[var_starts[rows][:, None] + np.arange(len(w))] = starts[rows][:, None] + w
+    variables = pa.ListArray.from_arrays(pa.array(var_starts, pa.int32()), pieces.take(take))
+
+    line_template = np.zeros(n_lines, np.int64)
+    line_template[hit] = line_hit
+    templates = pa.array([c.template for c in hits] or [""], pa.string()).take(line_template)
+    if not hit.all():  # a miss keeps its own tokens, as a new cluster would
+        miss = pa.array(~hit)
+        lists = pa.ListArray.from_arrays(pa.array(starts, pa.int32()), pieces)
+        templates = pc.replace_with_mask(templates, miss,
+                                         pc.binary_join(lists.filter(miss), " "))
+    return templates, variables
+
+
+def tag_lines(pdf: pd.DataFrame, tree: Drain) -> pd.DataFrame:
+    """Add ``template``/``variables`` to ``pdf``: each message is
+    preprocessed (with §IV structured-data extraction), tokenized and
+    matched against the unchanging global tree; a hit's variables are its
+    tokens at the cluster's ``<*>`` positions (what
+    :func:`~repro.parsing.drain.extract_variables` gives). A miss keeps
+    its own tokens, as a new Drain cluster's first line would, and has no
+    variables. Both columns are Arrow-backed (``pd.ArrowDtype``).
+
+    Printable-ASCII lines are tagged column-wise (:func:`_tag_column`);
+    any other line goes through the per-line reference
+    ``Drain.match_tokens``, which gives the same result by definition."""
+    messages = arrow_column(pdf["message"]).cast(pa.string())
+    # within printable ASCII, str.strip/split(" ")/isdigit and Arrow's
+    # byte-wise split and [0-9] agree, so the column kernel is exact there
+    exact = ~_lines_with(messages, lambda b: (b < 0x20) | (b > 0x7e))
+    if messages.null_count:
+        exact &= messages.is_valid().to_numpy(zero_copy_only=False)
+    if exact.all():
+        templates, variables = _tag_column(messages, tree)
+    else:
+        inside, outside = np.flatnonzero(exact), np.flatnonzero(~exact)
+        col_t, col_v = _tag_column(messages.take(inside), tree)
+        each_t, each_v = _tag_each(messages.take(outside).to_pylist(), tree)
+        pos = np.empty(len(exact), np.int64)
+        pos[inside], pos[outside] = np.arange(len(inside)), len(inside) + np.arange(len(outside))
+        templates = pa.concat_arrays([col_t, pa.array(each_t, pa.string())]).take(pos)
+        variables = pa.concat_arrays([col_v, pa.array(each_v, col_v.type)]).take(pos)
+    pdf["template"] = pd.Series(pd.arrays.ArrowExtensionArray(templates), index=pdf.index)
+    pdf["variables"] = pd.Series(pd.arrays.ArrowExtensionArray(variables), index=pdf.index)
     return pdf
+
+
+def arrow_frame(batches: list[pa.RecordBatch]) -> pd.DataFrame:
+    """Arrow batches as one pandas frame of Arrow-backed columns: strings
+    stay Arrow buffers instead of becoming Python objects."""
+    return pa.Table.from_batches(batches).to_pandas(types_mapper=pd.ArrowDtype)
 
 
 def match_fitted(df: DataFrame, b_parser: Broadcast) -> DataFrame:
     """Add ``template``/``variables`` to ``df`` in one narrow pass of
-    :func:`tag_lines` against the broadcast tree ``b_parser``."""
+    :func:`tag_lines` against the broadcast tree ``b_parser``; only the
+    ``message`` column goes through pandas, the rest passes as Arrow."""
     base = df.drop("cluster_id", "template", "variables")
     schema = T.StructType(base.schema.fields + [
         T.StructField("template", T.StringType()),
         T.StructField("variables", T.ArrayType(T.StringType())),
     ])
 
-    def tag(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            yield tag_lines(pdf, b_parser.value)
+    def tag(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        for batch in batches:
+            tagged = tag_lines(arrow_frame([batch.select(["message"])]), b_parser.value)
+            yield pa.RecordBatch.from_arrays(
+                [*batch.columns, *(pa.array(tagged[c].array) for c in ("template", "variables"))],
+                names=[*batch.schema.names, "template", "variables"])
 
-    return base.mapInPandas(tag, schema=schema)
+    return base.mapInArrow(tag, schema=schema)
 
 
 def parse_single_node(df: DataFrame, *, depth: int = 4, st: float = 0.5,

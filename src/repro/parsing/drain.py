@@ -75,6 +75,13 @@ class Drain:
         """Walk root -> length node -> ``depth-2`` token nodes -> leaf list."""
         keys: list[object] = [len(toks)]
         keys += [WILDCARD if _has_digit(tok) else tok for tok in toks[:self.depth - 2]]
+        return self.leaf(keys, create)
+
+    def leaf(self, keys: list[object], create: bool = False) -> list[Cluster] | None:
+        """The leaf list at routing ``keys``: the token count, then the
+        first ``depth-2`` tokens with digit tokens as ``<*>``. Every line
+        with the same keys reaches the same leaf, so a column of lines can
+        be routed once per distinct key."""
         node = self._root
         for key in keys[:-1]:
             if key not in node:

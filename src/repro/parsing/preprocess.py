@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 _HEADER_RE = re.compile(
     r"^(?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2},\d{3}) - "
     r"(?P<source>[^ ]+) - (?P<level>[A-Z]+) - (?P<message>.*)$"
@@ -24,6 +28,12 @@ _HEADER_RE = re.compile(
 _JSON_TAIL_RE = re.compile(r"\s(\{.*\})\s*$")
 _XML_TAIL_RE = re.compile(r"\s(<[A-Za-z][^>]*>.*</[A-Za-z][^>]*>)\s*$")
 _KV_RE = re.compile(r'["\']?([A-Za-z_][\w.]*)["\']?\s*[:=]\s*["\']?([^,"\'{}]+)["\']?')
+_XML_KV_RE = re.compile(r"<([A-Za-z][\w.]*)>([^<]*)</")
+# the same tails for RE2 over printable ASCII, where \s is the space: the
+# lazy head ends where Python's leftmost search starts its match
+_TAIL_COLUMN_RES = ((r"^(?P<head>.*?) (?P<tail>\{.*\}) *$", _KV_RE.pattern),
+                    (r"^(?P<head>.*?) (?P<tail><[A-Za-z][^>]*>.*</[A-Za-z][^>]*>) *$",
+                     _XML_KV_RE.pattern))
 
 _IP_RE = re.compile(r"\b\d{1,3}(?:\.\d{1,3}){3}(?::\d+)?\b")
 _HEX_RE = re.compile(r"\b0x[0-9a-fA-F]+\b")
@@ -52,10 +62,28 @@ def extract_structured(message: str) -> tuple[str, dict[str, str]]:
     m = _XML_TAIL_RE.search(message) if "<" in message else None
     if m:
         blob = m.group(1)
-        data = dict(re.findall(r"<([A-Za-z][\w.]*)>([^<]*)</", blob))
+        data = dict(_XML_KV_RE.findall(blob))
         if data:
             return message[: m.start()].rstrip(), data
     return message, {}
+
+
+def extract_structured_column(messages: pa.Array) -> pa.Array:
+    """:func:`extract_structured`'s shortened messages for a column of
+    printable-ASCII messages, in a fixed number of Arrow calls: a JSON
+    tail holding key/values is cut, else such an XML tail."""
+    out, done = messages, np.zeros(len(messages), bool)
+    for tail_re, data_re in _TAIL_COLUMN_RES:
+        parts = pc.extract_regex(messages, tail_re)
+        cut = (parts.is_valid().to_numpy(zero_copy_only=False) & ~done
+               & pc.match_substring_regex(parts.field("tail"), data_re)
+               .fill_null(False).to_numpy(zero_copy_only=False))
+        if cut.any():
+            mask = pa.array(cut)
+            out = pc.replace_with_mask(out, mask, pc.utf8_rtrim(
+                parts.field("head").filter(mask), characters=" "))
+            done |= cut
+    return out
 
 
 def mask_variables(message: str) -> str:

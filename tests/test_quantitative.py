@@ -2,6 +2,7 @@
 import pickle
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from repro.detect.quantitative import ValueRangeDetector, _numeric
@@ -138,3 +139,40 @@ def test_pickle_size_independent_of_training_values():
     small = ValueRangeDetector(k=6).fit(_train_rows(n=100))
     large = ValueRangeDetector(k=6).fit(_train_rows(n=20000))
     assert len(pickle.dumps(large)) == len(pickle.dumps(small))
+
+
+def test_non_finite_training_value_does_not_poison_slot():
+    rows = [("t", [str(v)]) for v in range(100, 120)]
+    d = ValueRangeDetector().fit(rows + [("t", ["nan"]), ("t", ["inf"])])
+    # a NaN median and scale would flag every later line of the template
+    assert not d.line_flag("t", ["105"])
+    assert d.line_flag("t", ["100000"])
+    assert not d.line_flag("t", ["nan"]) and not d.line_flag("t", ["-inf"])
+    assert d._slots == ValueRangeDetector().fit(rows)._slots
+
+
+@pytest.mark.parametrize("token,value", [
+    ("150", 150.0), ("-0.5", -0.5), (".5", 0.5), ("1e3", 1000.0), ("+7", 7.0),
+    ("1_000", 1000.0), (" 12 ", 12.0), ("٣", 3.0),
+    ("nan", None), ("inf", None), ("-Infinity", None), ("1e999", None), ("x1", None), (None, None),
+])
+def test_numeric_is_finite_float_or_none(token, value):
+    assert _numeric(token) == value
+
+
+def test_line_flags_equal_line_flag():
+    g = np.random.default_rng(5)
+    d = ValueRangeDetector(k=6).fit(
+        [("ev.a", ["x", str(int(g.integers(100, 200))), str(int(g.integers(1, 9)))])
+         for _ in range(60)] + [("ev.b", [f"{g.normal(0.5, 0.01):.4f}"]) for _ in range(60)])
+    tokens = ["150", "5000", "-0.5", ".5", "0.52", "1e3", "1_000", "nan", "inf", "-inf", "1e999",
+              "+160", "160.", "00150", "x", "", "٣", " 150", "1e-400", "9" * 400]
+    lines = [(e, [a, b, c][:n]) for e in ("ev.a", "ev.b", "ev.c")
+             for a in tokens for b in tokens[:6] for c in ("3", "70", "q") for n in (0, 1, 2, 3)]
+    events = pa.array([e for e, _ in lines], pa.string())
+    variables = pa.array([v for _, v in lines], pa.list_(pa.string()))
+    expect = [d.line_flag(e, v) for e, v in lines]
+    assert d.line_flags(events, variables).tolist() == expect
+    assert 0 < sum(expect) < len(expect)
+    # a sliced column reads its own rows
+    assert d.line_flags(events[7:], variables[7:]).tolist() == expect[7:]

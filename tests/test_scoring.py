@@ -1,6 +1,7 @@
 """Tests for session scoring (detect.scoring): the pure-pandas MoniLog
 rule and Spark-distributed sequence scoring."""
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.detect.loganomaly import LogAnomalyDetector
@@ -128,3 +129,58 @@ def test_score_sessions_empty_frame(models):
     empty = pd.DataFrame(columns=["session_id", *LINE_FIELDS])
     out = score_sessions(empty, *models)
     assert out.empty and list(out.columns) == [c.split()[0] for c in SCORED_SCHEMA.split(", ")]
+
+
+def _reference_scores(lines, seq, quant):
+    """Score each session on its own with the per-session reference calls."""
+    rows = []
+    for sid, s in lines.sort_values(["session_id", "ts", "line_id"]).groupby("session_id",
+                                                                            sort=False):
+        events, variables = s["template"].tolist(), [list(v) for v in s["variables"]]
+        seq_pred = seq.is_anomalous(events)
+        quant_pred = quant.session_flag(zip(events, variables))
+        pred = seq_pred or quant_pred
+        rows.append((sid, int(seq_pred), int(quant_pred), int(pred),
+                     s["source"].iloc[0] if pred else None, events if pred else None,
+                     s["level"].tolist() if pred else None))
+    return pd.DataFrame(rows, columns=[c.split()[0] for c in SCORED_SCHEMA.split(", ")])
+
+
+def test_score_sessions_equals_per_session_reference():
+    from repro.loggen import instability
+    from repro.parsing.distributed import _drain, _final_templates, merge_templates, tag_lines
+
+    train = generate(StreamSpec(n_sessions=300, n_sources=8, seed=90))
+    local = _drain(4, 0.5, True, False)
+    ids = [cid for cid, _ in local.parse_many(train["message"])]
+    tree, _ = merge_templates(sorted(set(_final_templates(local, ids))))
+    fitted = (tag_lines(train.copy(), tree).astype({"template": object})
+              .sort_values(["session_id", "ts", "line_id"]))
+    seq = NGramDetector().fit(fitted.groupby("session_id", sort=False)["template"].agg(list))
+    quant = ValueRangeDetector().fit(zip(fitted["template"], fitted["variables"]))
+
+    test = generate(StreamSpec(n_sessions=200, n_sources=8, anomaly_rate=0.1, seed=91))
+    unstable, counts = instability.inject(test, 0.2, kinds=instability.KINDS, seed=4)
+    assert all(counts[k] > 0 for k in instability.KINDS)
+    lines = tag_lines(unstable[["session_id", "message", "ts", "line_id", "source", "level"]]
+                      .copy(), tree)
+    # values float() and Arrow's string-to-float cast read differently
+    variables = [list(v) for v in lines["variables"]]
+    modelled = [i for i, (t, v) in enumerate(zip(lines["template"], variables))
+                if any(s < len(v) for s, _ in quant._slots.get(t, ()))]
+    odd = ["1_000", "1e3", "-0.5", ".5", "nan", "inf", "+7", "٣"]
+    for j, i in enumerate(modelled[::7]):
+        slot = quant._slots[lines["template"].iloc[i]][0][0]
+        variables[i][slot] = odd[j % len(odd)]
+    lines["variables"] = pd.Series(pd.arrays.ArrowExtensionArray(
+        pa.array(variables, pa.list_(pa.string()))), index=lines.index)
+    # arrival order; a dup line and its shuffled original tie on (ts, line_id)
+    lines = lines.sample(frac=1, random_state=1)
+
+    expect = _reference_scores(lines, seq, quant)
+    assert expect["seq_pred"].sum() > 0 and expect["quant_pred"].sum() > 0
+    assert (expect["pred"] == 0).sum() > 0
+    # Arrow-backed, as tag_lines gives them, or Python objects, as in stage B
+    for frame in (lines, lines.astype({"template": object, "variables": object})):
+        got = score_sessions(frame, seq, quant).sort_values("session_id")
+        pd.testing.assert_frame_equal(got.reset_index(drop=True), expect, check_dtype=False)

@@ -91,3 +91,58 @@ def test_structured_tails():
          "login ok {user_id=7, name=x}"],           # JSON tail: stripped
         tree)
     assert tagged["template"].tolist() == ["request served {}", "login ok", "login ok"]
+
+
+def test_spaces_tabs_and_control_characters():
+    tree = Drain()
+    for m in ("disk x full on node", "a b c", "job 12 done", "job 14 done"):
+        tree.parse(m)
+    tagged = _assert_tags_as_reference(
+        ["  disk   x full  on node  ",     # runs of spaces, leading and trailing
+         "disk\tx full on node",           # a tab inside a token
+         "\x1cdisk x full on node\x1c",    # str.strip() removes \x1c, Arrow's trim would not
+         " \x1f a b c\x1e",
+         "job 13 done",
+         "job 13 done and then some more tokens than any template has"],
+        tree)
+    assert tagged["template"].tolist()[:3] == ["disk x full on node", "disk\tx full on node",
+                                               "disk x full on node"]
+    assert tagged["variables"].tolist()[4:] == [["13"], []]
+
+
+def test_tie_in_similarity_goes_to_first_cluster():
+    tree = Drain(st=0.7)
+    for m in ("a b c d e", "a b x y z", "a b c d q", "a b k l m"):
+        tree.parse(m)
+    leaf = tree.leaf([5, "a", "b"])
+    assert [c.template for c in leaf] == ["a b c d <*>", "a b x y z", "a b k l m"]
+    tagged = _assert_tags_as_reference(
+        ["a b c y z",    # 4/5 with the first two clusters (the <*> counts): the first wins
+         "a b c l m",    # 4/5 with the first and the third
+         "a b k y z",    # 4/5 with the second only
+         "a b q q z",    # a 3/5 tie below st: a miss
+         "a b q r s t"], tree)
+    assert tagged["template"].tolist()[:4] == ["a b c d <*>", "a b c d <*>", "a b x y z",
+                                               "a b q q z"]
+    assert tagged["variables"].tolist()[:4] == [["z"], ["m"], [], []]
+
+
+def test_structured_tail_edge_cases():
+    tree = Drain()
+    for m in ("a {x} b", "x trailing", "x <a>1</a> mid", "a", "x", "login ok"):
+        tree.parse(m)
+    _assert_tags_as_reference(
+        ["a {x} b {k=1}",             # the leftmost " {" starts the tail
+         "x {k=v} trailing",          # not at the end: kept
+         "x <a>1</a> mid <b>2</b>",   # XML tail from the first " <"
+         "{k=1}",                     # no space before the tail: kept
+         "a {}  ",                    # JSON tail without key/values: kept
+         "a {x} <t>v</t>",            # XML tail after a JSON-like token
+         "a <t>v</t> {}",             # neither tail has data at the end
+         "x {k=1}<b>2</b>",
+         "login ok   {user_id=7}   ",
+         "login ok {'a': 1, \"b\": \"c\"}",
+         "login ok <a></a>",
+         "login ok <a>x</a><b>y</b> ",
+         "login ok {k=1} {}"],
+        tree)

@@ -10,7 +10,10 @@ checkout, untraced, the side that runs first alternating from seed to
 seed. It then appends one entry to ``BENCH_perfbench.json``: per workload
 and end-to-end metric, each side's value per seed, median and quartiles
 over the seeds, and on how many seeds the change read better or worse.
-The copy is removed afterwards. Standard library only; the benchmark's
+Each pair also gets the verdict of the acceptance rule it is used for: the
+claimed (workload, metric) ``claim_met``, every other one ``within_bound``
+(see :func:`claim_met` and :func:`within_bound`). The copy is removed
+afterwards. Standard library only; the benchmark's
 own files are never edited.
 """
 from __future__ import annotations
@@ -62,8 +65,32 @@ def run_once(root: str, command: list[str], workload: str, seed: int,
     return {"provenance": prov, "result": json.loads(lines[-1])}
 
 
-def compare(runs: dict[str, list[dict | None]], metrics: list[dict]) -> dict:
-    """Per-metric statistics over the pairs in which both sides ran."""
+def _gain(stats: dict) -> float:
+    """How much better the change's median is than the parent's, in the
+    metric's unit (negative when it is worse)."""
+    sign = 1 if stats["better"] == "higher" else -1
+    return sign * (stats["change"]["median"] - stats["parent"]["median"])
+
+
+def claim_met(stats: dict) -> bool:
+    """A claimed gain holds iff the change is better on at least 9 of 10
+    pairs and its median beats the parent's by more than the parent's own
+    quartile spread (q3 - q1)."""
+    spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    return 10 * stats["change_wins"] >= 9 * stats["pairs"] and _gain(stats) > spread
+
+
+def within_bound(stats: dict, bound: float) -> bool:
+    """An unclaimed metric holds iff the change's median is not worse than
+    the parent's by more than ``bound`` (a fraction of the parent's median)."""
+    return -_gain(stats) <= bound * abs(stats["parent"]["median"])
+
+
+def compare(runs: dict[str, list[dict | None]], metrics: list[dict],
+            claimed: str | None = None) -> dict:
+    """Per-metric statistics over the pairs in which both sides ran, each
+    with its verdict: ``claim_met`` for the ``claimed`` metric,
+    ``within_bound`` for the others."""
     pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p and c]
     out = {}
     for m in metrics:
@@ -82,6 +109,10 @@ def compare(runs: dict[str, list[dict | None]], metrics: list[dict]) -> dict:
             "change_losses": sum(1 for p, c in vals if sign * (c - p) < 0),
             "pairs": len(vals),
         }
+        if name == claimed:
+            out[name]["claim_met"] = claim_met(out[name])
+        else:
+            out[name]["within_bound"] = within_bound(out[name], m["bound"])
     return out
 
 
@@ -112,6 +143,12 @@ def main(argv=None) -> int:
     unknown = set(workloads) - set(names)
     if unknown:
         ap.error(f"unknown workloads: {sorted(unknown)}")
+    claim = None
+    if args.claim:
+        claim = tuple(args.claim.partition(":")[::2])
+        if claim[0] not in workloads or claim[1] not in [m["name"] for m in bench["end_to_end"]]:
+            ap.error(f"--claim {args.claim}: not a run workload and BENCHMARK.json "
+                     "end-to-end metric")
     seeds = parse_seeds(args.seeds)
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
@@ -143,16 +180,18 @@ def main(argv=None) -> int:
                 "seeds": seeds,
                 "all_runs_correct_no_failed_ops": all_correct(runs),
                 "detect_f1_identical_per_seed": f1_identical(runs),
-                "metrics": compare(runs, bench["end_to_end"]),
+                "metrics": compare(runs, bench["end_to_end"],
+                                   claim[1] if claim and claim[0] == workload else None),
             }
     finally:
         shutil.rmtree(copy, ignore_errors=True)
 
     entry = {"change": args.change, "parent_commit": parent, "host": host,
              "run_seconds": bench["run_seconds"]}
-    if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        entry["claim"] = {"workload": workload, "metric": metric}
+    if claim:
+        entry["claim"] = {"workload": claim[0], "metric": claim[1],
+                          "claim_met": results[claim[0]]["metrics"].get(claim[1], {})
+                          .get("claim_met", False)}
     entry["workloads"] = results
     record = os.path.join(ROOT, "BENCH_perfbench.json")
     with open(record) as f:
