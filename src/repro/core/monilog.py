@@ -40,11 +40,12 @@ from pyspark.sql.types import StructType
 
 from repro.classify.classifier import AnomalyClassifier
 from repro.classify.pools import AnomalyReport, PoolSystem
+from repro.columnar import arrow_frame
 from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import (PRED_COLUMNS, SCORED_SCHEMA, score_sessions,
                                   session_reports)
-from repro.parsing.distributed import arrow_frame, learn_templates, match_fitted, tag_lines
+from repro.parsing.distributed import learn_templates, match_fitted, tag_lines
 from repro.parsing.drain import Drain
 # perfbench's traced runs patch these names on this module, so they stay
 # importable here although nothing here calls them

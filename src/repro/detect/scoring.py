@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 
 from repro.classify.pools import AnomalyReport, make_report
-from repro.parsing.distributed import arrow_column
+from repro.columnar import arrow_column
 
 # the per-line columns score_sessions reads, besides session_id
 LINE_FIELDS = ("ts", "line_id", "source", "level", "template", "variables")
@@ -63,7 +63,9 @@ def score_sessions(lines: pd.DataFrame, seq_model, quant_model) -> pd.DataFrame:
 
     events = pc.dictionary_encode(templates.take(order))
     names, codes = events.dictionary.to_pylist(), events.indices.to_numpy().tolist()
-    verdicts: dict[tuple, bool] = {}  # sessions of one flow share one verdict
+    # sessions of one flow share one verdict; on the 8-source generator's
+    # streams most sessions of a partition repeat an earlier flow
+    verdicts: dict[tuple, bool] = {}
     seq = np.zeros(len(starts), bool)
     for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
         flow = tuple(codes[a:b])

@@ -46,6 +46,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.columnar import arrow_column, arrow_frame
 from repro.parsing.drain import WILDCARD, Drain, tokenize
 from repro.parsing.preprocess import extract_structured_column, preprocess
 
@@ -141,14 +142,6 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
 
 
 _WILD = -2  # the code of a <*> route key or template position; tokens are >= 0
-
-
-def arrow_column(col: pd.Series) -> pa.Array:
-    """``col`` as one Arrow array, without a copy if it is one Arrow chunk."""
-    if isinstance(col.dtype, pd.ArrowDtype):
-        return col.array.__arrow_array__().combine_chunks()
-    return pa.array(col.to_numpy(dtype=object) if col.dtype == object else col,
-                    from_pandas=True)
 
 
 def _lines_with(messages: pa.Array, byte_test) -> np.ndarray:
@@ -296,12 +289,6 @@ def tag_lines(pdf: pd.DataFrame, tree: Drain) -> pd.DataFrame:
     pdf["template"] = pd.Series(pd.arrays.ArrowExtensionArray(templates), index=pdf.index)
     pdf["variables"] = pd.Series(pd.arrays.ArrowExtensionArray(variables), index=pdf.index)
     return pdf
-
-
-def arrow_frame(batches: list[pa.RecordBatch]) -> pd.DataFrame:
-    """Arrow batches as one pandas frame of Arrow-backed columns: strings
-    stay Arrow buffers instead of becoming Python objects."""
-    return pa.Table.from_batches(batches).to_pandas(types_mapper=pd.ArrowDtype)
 
 
 def match_fitted(df: DataFrame, b_parser: Broadcast) -> DataFrame:

@@ -24,16 +24,14 @@ _HEADER_RE = re.compile(
 )
 
 # {...} / <...>...</...> tails; both the paper's "{user_id=125, ...}" style
-# and strict JSON parse with the same regexes.
-_JSON_TAIL_RE = re.compile(r"\s(\{.*\})\s*$")
-_XML_TAIL_RE = re.compile(r"\s(<[A-Za-z][^>]*>.*</[A-Za-z][^>]*>)\s*$")
+# and strict JSON parse with the same regexes. Each is written once, in the
+# syntax Python's re and RE2 share, and serves both the per-line and the
+# column path: the lazy head ends where the leftmost tail starts.
+_JSON_TAIL_RE = re.compile(r"^(?P<head>[\s\S]*?)\s(?P<tail>\{.*\})\s*$")
+_XML_TAIL_RE = re.compile(r"^(?P<head>[\s\S]*?)\s(?P<tail><[A-Za-z][^>]*>.*</[A-Za-z][^>]*>)\s*$")
 _KV_RE = re.compile(r'["\']?([A-Za-z_][\w.]*)["\']?\s*[:=]\s*["\']?([^,"\'{}]+)["\']?')
 _XML_KV_RE = re.compile(r"<([A-Za-z][\w.]*)>([^<]*)</")
-# the same tails for RE2 over printable ASCII, where \s is the space: the
-# lazy head ends where Python's leftmost search starts its match
-_TAIL_COLUMN_RES = ((r"^(?P<head>.*?) (?P<tail>\{.*\}) *$", _KV_RE.pattern),
-                    (r"^(?P<head>.*?) (?P<tail><[A-Za-z][^>]*>.*</[A-Za-z][^>]*>) *$",
-                     _XML_KV_RE.pattern))
+_TAILS = ((_JSON_TAIL_RE, _KV_RE), (_XML_TAIL_RE, _XML_KV_RE))
 
 _IP_RE = re.compile(r"\b\d{1,3}(?:\.\d{1,3}){3}(?::\d+)?\b")
 _HEX_RE = re.compile(r"\b0x[0-9a-fA-F]+\b")
@@ -52,19 +50,12 @@ def extract_structured(message: str) -> tuple[str, dict[str, str]]:
     The extracted key/values are structured data (already parsed), so the
     free-text parser never sees them — the paper's §IV recommendation.
     """
-    # each tail regex needs its opening character; most messages have neither
-    m = _JSON_TAIL_RE.search(message) if "{" in message else None
-    if m:
-        blob = m.group(1)
-        data = dict(_KV_RE.findall(blob))
+    for (tail_re, data_re), opening in zip(_TAILS, "{<"):
+        # each tail regex needs its opening character; most messages have neither
+        m = tail_re.match(message) if opening in message else None
+        data = dict(data_re.findall(m["tail"])) if m else None
         if data:
-            return message[: m.start()].rstrip(), data
-    m = _XML_TAIL_RE.search(message) if "<" in message else None
-    if m:
-        blob = m.group(1)
-        data = dict(_XML_KV_RE.findall(blob))
-        if data:
-            return message[: m.start()].rstrip(), data
+            return m["head"].rstrip(), data
     return message, {}
 
 
@@ -73,10 +64,10 @@ def extract_structured_column(messages: pa.Array) -> pa.Array:
     printable-ASCII messages, in a fixed number of Arrow calls: a JSON
     tail holding key/values is cut, else such an XML tail."""
     out, done = messages, np.zeros(len(messages), bool)
-    for tail_re, data_re in _TAIL_COLUMN_RES:
-        parts = pc.extract_regex(messages, tail_re)
+    for tail_re, data_re in _TAILS:
+        parts = pc.extract_regex(messages, tail_re.pattern)
         cut = (parts.is_valid().to_numpy(zero_copy_only=False) & ~done
-               & pc.match_substring_regex(parts.field("tail"), data_re)
+               & pc.match_substring_regex(parts.field("tail"), data_re.pattern)
                .fill_null(False).to_numpy(zero_copy_only=False))
         if cut.any():
             mask = pa.array(cut)

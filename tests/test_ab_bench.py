@@ -38,6 +38,17 @@ def test_claim_met_needs_nine_of_ten_wins_and_a_gap_over_the_spread():
     small = [(p, p + 1.0) for p in base]
     assert not ab_bench.compare(_runs({"rate": small, "lat": lat}), METRICS,
                                 claimed="rate")["rate"]["claim_met"]
+    # fewer than 10 pairs is not enough, however clear the wins
+    three = [(p, 1.2 * p) for p in base[:3]]
+    assert not ab_bench.compare(_runs({"rate": three, "lat": lat[:3]}), METRICS,
+                                claimed="rate")["rate"]["claim_met"]
+    # a pair where one side gave no result counts as not won: 9 wins of 11
+    # run pairs fall short, though all 9 pairs with both sides were won
+    failed = _runs({"rate": [(p, 1.2 * p) for p in base[:9]] + [(100.0, 120.0)] * 2,
+                    "lat": lat + lat[:1]})
+    failed["change"][9] = failed["parent"][10] = None
+    out = ab_bench.compare(failed, METRICS, claimed="rate")["rate"]
+    assert out["pairs"] == 9 and out["change_wins"] == 9 and not out["claim_met"]
 
 
 @pytest.mark.parametrize("better,parent,change,ok", [

@@ -57,6 +57,16 @@ def test_extract_structured_mid_message_braces_kept():
 
 
 @pytest.mark.parametrize("msg,expect", [
+    ("line one\nline two {a=1}", ("line one\nline two", {"a": "1"})),
+    ("a {b} c {d=2}", ("a", {"d": "2"})),     # the leftmost tail is cut
+    ("x\t<k>v</k>\n", ("x", {"k": "v"})),
+    ("x {a=1}\ny", ("x {a=1}\ny", {})),     # a tail ends the message
+])
+def test_extract_structured_cuts_the_leftmost_tail_across_lines(msg, expect):
+    assert P.extract_structured(msg) == expect
+
+
+@pytest.mark.parametrize("msg,expect", [
     ("ip 10.250.11.53 ok", "ip <*> ok"),
     ("ip 10.250.11.53:8080 ok", "ip <*> ok"),
     ("hex 0xdeadBEEF ok", "hex <*> ok"),

@@ -73,11 +73,13 @@ def _gain(stats: dict) -> float:
 
 
 def claim_met(stats: dict) -> bool:
-    """A claimed gain holds iff the change is better on at least 9 of 10
-    pairs and its median beats the parent's by more than the parent's own
-    quartile spread (q3 - q1)."""
+    """A claimed gain holds iff at least 10 pairs were run, the change is
+    better on at least 9 in 10 of them (a pair where a side gave no result
+    is not won), and its median beats the parent's by more than the
+    parent's own quartile spread (q3 - q1)."""
     spread = stats["parent"]["q3"] - stats["parent"]["q1"]
-    return 10 * stats["change_wins"] >= 9 * stats["pairs"] and _gain(stats) > spread
+    return (stats["pairs_run"] >= 10 and 10 * stats["change_wins"] >= 9 * stats["pairs_run"]
+            and _gain(stats) > spread)
 
 
 def within_bound(stats: dict, bound: float) -> bool:
@@ -88,9 +90,10 @@ def within_bound(stats: dict, bound: float) -> bool:
 
 def compare(runs: dict[str, list[dict | None]], metrics: list[dict],
             claimed: str | None = None) -> dict:
-    """Per-metric statistics over the pairs in which both sides ran, each
-    with its verdict: ``claim_met`` for the ``claimed`` metric,
-    ``within_bound`` for the others."""
+    """Per-metric statistics over the ``pairs`` in which both sides ran
+    (``pairs_run`` counts every pair), each with its verdict:
+    ``claim_met`` for the ``claimed`` metric, ``within_bound`` for the
+    others."""
     pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p and c]
     out = {}
     for m in metrics:
@@ -108,6 +111,7 @@ def compare(runs: dict[str, list[dict | None]], metrics: list[dict],
             "change_wins": sum(1 for p, c in vals if sign * (c - p) > 0),
             "change_losses": sum(1 for p, c in vals if sign * (c - p) < 0),
             "pairs": len(vals),
+            "pairs_run": len(runs["parent"]),
         }
         if name == claimed:
             out[name]["claim_met"] = claim_met(out[name])
