@@ -40,7 +40,6 @@ from pyspark.sql.types import StructType
 
 from repro.classify.classifier import AnomalyClassifier
 from repro.classify.pools import AnomalyReport, PoolSystem
-from repro.columnar import arrow_frame
 from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import (PRED_COLUMNS, SCORED_SCHEMA, score_sessions,
@@ -116,7 +115,11 @@ class MoniLog:
             parts = list(batches)  # a session can span Arrow batches
             if not parts:  # an empty partition gets no batch
                 return
-            lines = tag_lines(arrow_frame(parts), b_tree.value)
+            lines = pa.Table.from_batches(parts)
+            templates, variables = tag_lines(lines.column("message").combine_chunks(),
+                                             b_tree.value)
+            lines = lines.append_column("template", templates).append_column("variables",
+                                                                              variables)
             yield pa.RecordBatch.from_pandas(score_sessions(lines, *b_models.value),
                                              schema=out_schema, preserve_index=False)
 

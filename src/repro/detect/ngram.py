@@ -27,19 +27,18 @@ EOS = "</s>"
 class NGramDetector:
     """Backoff n-gram next-event predictor with DeepLog's top-g rule.
 
-    ``use_eos`` appends an end-of-session marker so that a *silently
-    truncated* flow (session ends mid-flow with no error logged) is
-    caught: the model expects the flow's continuation, sees EOS instead.
+    Every session ends with an end-of-session marker (EOS), so that a
+    *silently truncated* flow (session ends mid-flow with no error logged)
+    is caught: the model expects the flow's continuation, sees EOS instead.
     """
 
-    def __init__(self, *, h: int = 4, g: int = 9, use_eos: bool = True) -> None:
+    def __init__(self, *, h: int = 4, g: int = 9) -> None:
         if h < 1:
             raise ValueError("history length h must be >= 1")
         if g < 1:
             raise ValueError("candidate count g must be >= 1")
         self.h = h
         self.g = g
-        self.use_eos = use_eos
         # order k history tuple -> its top-g next events, built by fit
         self._top: list[dict[tuple, list[str]]] = [{} for _ in range(h)]
         self.vocab: set[str] = set()
@@ -54,10 +53,9 @@ class NGramDetector:
         tables: list[dict[tuple, Counter]] = [defaultdict(Counter) for _ in range(self.h)]
         vocab: set[str] = set()
         for seq in sequences:
-            padded = [BOS] * self.h + list(seq) + ([EOS] if self.use_eos else [])
+            padded = [BOS] * self.h + list(seq) + [EOS]
             vocab.update(seq)
-            if self.use_eos:
-                vocab.add(EOS)
+            vocab.add(EOS)
             for i in range(self.h, len(padded)):
                 nxt = padded[i]
                 for k in range(1, self.h + 1):
@@ -79,7 +77,7 @@ class NGramDetector:
         return None
 
     def _flags(self, seq: Sequence[str]) -> Iterator[bool]:
-        padded = [BOS] * self.h + list(seq) + ([EOS] if self.use_eos else [])
+        padded = [BOS] * self.h + list(seq) + [EOS]
         for i in range(self.h, len(padded)):
             nxt = padded[i]
             if nxt not in self.vocab:

@@ -4,9 +4,10 @@ distributable).
 
 :func:`score_sessions` is the one implementation of MoniLog's step-2 rule
 (DeepLog's composition): a session is anomalous iff the sequential top-g
-model or the quantitative value-range model raises. It takes flat tagged
-lines (one row per line, carrying its ``session_id``), works on them as
-Arrow and numpy columns, and needs nothing but the models, so
+model or the quantitative value-range model raises. It takes an Arrow
+table of flat tagged lines (one row per line, carrying its
+``session_id``), works on it as Arrow and numpy columns, and needs
+nothing but the models, so
 ``MoniLog.detect`` runs it partition-parallel in ``mapInArrow``, after
 one shuffle that puts every line of a session in one partition, and
 streaming stage B runs it on the driver over the flattened lines of a
@@ -28,7 +29,6 @@ import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 
 from repro.classify.pools import AnomalyReport, make_report
-from repro.columnar import arrow_column
 
 # the per-line columns score_sessions reads, besides session_id
 LINE_FIELDS = ("ts", "line_id", "source", "level", "template", "variables")
@@ -37,31 +37,36 @@ SCORED_SCHEMA = ("session_id string, seq_pred int, quant_pred int, pred int, "
                  "source string, events array<string>, levels array<string>")
 
 
-def score_sessions(lines: pd.DataFrame, seq_model, quant_model) -> pd.DataFrame:
-    """Score flat tagged lines (``session_id`` + :data:`LINE_FIELDS`), one
-    row per session.
+def score_sessions(lines: pa.Table, seq_model, quant_model) -> pd.DataFrame:
+    """Score flat tagged lines, one row per session. ``lines`` holds a
+    ``session_id`` and the :data:`LINE_FIELDS` columns, in one or more
+    chunks; other columns are ignored.
 
-    Lines are ordered by ``(session_id, ts, line_id)`` in one stable sort:
-    event time, not arrival order, defines each flow. A session's template
-    sequence goes to ``seq_model.is_anomalous``, once per distinct
-    sequence; the quantitative flags of all lines come from one
-    ``quant_model.line_flags`` pass (``session_flag`` of each session,
+    Lines are ordered by ``(session_id, ts, line_id, template, level)`` in
+    one sort: event time, not arrival order, defines each flow, and a
+    ``(ts, line_id)`` tie (a duplicated line) is broken on the fields the
+    scorer reads in sequence, so no arrival order shows through. A
+    session's template sequence goes to ``seq_model.is_anomalous``, once
+    per distinct sequence; the quantitative flags of all lines come from
+    one ``quant_model.line_flags`` pass (``session_flag`` of each session,
     column-wise). Returns :data:`PRED_COLUMNS` plus, for flagged sessions
     only (None otherwise), the report payload ``source``, ``events``
     (templates) and ``levels`` in line order.
     """
-    if lines.empty:
+    if not lines.num_rows:
         return pd.DataFrame(columns=PRED_COLUMNS + ["source", "events", "levels"])
-    cols = {c: arrow_column(lines[c]) for c in ("session_id", "ts", "line_id")}
-    templates = arrow_column(lines["template"]).cast(pa.string())
-    variables = arrow_column(lines["variables"]).cast(pa.list_(pa.string()))
-    order = pc.sort_indices(pa.table(cols), sort_keys=[(c, "ascending") for c in cols]).to_numpy()
+    cols = {c: lines.column(c).combine_chunks() for c in ("session_id", *LINE_FIELDS)}
+    # a total order on every field read in sequence; variables only feed an OR
+    key = ("session_id", "ts", "line_id", "template", "level")
+    order = pc.sort_indices(pa.table({c: cols[c] for c in key}),
+                            sort_keys=[(c, "ascending") for c in key]).to_numpy()
     sids = pc.dictionary_encode(cols["session_id"].take(order))
     starts = np.flatnonzero(np.diff(sids.indices.to_numpy(), prepend=-1))
     ends = np.append(starts[1:], len(order))
-    quant = np.logical_or.reduceat(quant_model.line_flags(templates, variables)[order], starts)
+    flags = quant_model.line_flags(cols["template"], cols["variables"])
+    quant = np.logical_or.reduceat(flags[order], starts)
 
-    events = pc.dictionary_encode(templates.take(order))
+    events = pc.dictionary_encode(cols["template"].take(order))
     names, codes = events.dictionary.to_pylist(), events.indices.to_numpy().tolist()
     # sessions of one flow share one verdict; on the 8-source generator's
     # streams most sessions of a partition repeat an earlier flow
@@ -79,8 +84,7 @@ def score_sessions(lines: pd.DataFrame, seq_model, quant_model) -> pd.DataFrame:
     sizes = ends[flagged] - starts[flagged]
     rows = order[np.concatenate([np.arange(starts[i], ends[i]) for i in flagged] or [[]])
                  .astype(np.int64)]
-    src, evs, lvl = (arrow_column(lines[c]).take(rows).to_pylist()
-                     for c in ("source", "template", "level"))
+    src, evs, lvl = (cols[c].take(rows).to_pylist() for c in ("source", "template", "level"))
     payload = {c: [None] * len(starts) for c in ("source", "events", "levels")}
     for i, b, size in zip(flagged, np.cumsum(sizes), sizes):
         a = b - size

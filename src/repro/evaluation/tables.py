@@ -8,8 +8,8 @@ returns a pandas frame shaped like the table EXPERIMENTS.md records.
 Sizing: every runner takes explicit stream sizes so unit tests run them
 small (seconds) and benchmarks run them at the documented scale.
 Structuring (sessionization, time windows) always goes through Spark
-(:mod:`repro.detect.sequences`); model math runs on the driver; scoring
-of the MoniLog core row is distributed (broadcast + ``mapInPandas``).
+(:mod:`repro.detect.sequences`); model math runs on the driver, and so
+does the scoring of T1's MoniLog core row.
 """
 from __future__ import annotations
 

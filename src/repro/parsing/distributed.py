@@ -46,7 +46,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.columnar import arrow_column, arrow_frame
 from repro.parsing.drain import WILDCARD, Drain, tokenize
 from repro.parsing.preprocess import extract_structured_column, preprocess
 
@@ -258,43 +257,39 @@ def _tag_column(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
     return templates, variables
 
 
-def tag_lines(pdf: pd.DataFrame, tree: Drain) -> pd.DataFrame:
-    """Add ``template``/``variables`` to ``pdf``: each message is
+def tag_lines(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
+    """Tag each of ``messages`` against the unchanging global tree: it is
     preprocessed (with §IV structured-data extraction), tokenized and
-    matched against the unchanging global tree; a hit's variables are its
-    tokens at the cluster's ``<*>`` positions (what
-    :func:`~repro.parsing.drain.extract_variables` gives). A miss keeps
-    its own tokens, as a new Drain cluster's first line would, and has no
-    variables. Both columns are Arrow-backed (``pd.ArrowDtype``).
+    matched; a hit's variables are its tokens at the cluster's ``<*>``
+    positions (what :func:`~repro.parsing.drain.extract_variables`
+    gives). A miss keeps its own tokens, as a new Drain cluster's first
+    line would, and has no variables. Returns the ``template`` (string)
+    and ``variables`` (list of string) arrays, one entry per message.
 
     Printable-ASCII lines are tagged column-wise (:func:`_tag_column`);
     any other line goes through the per-line reference
     ``Drain.match_tokens``, which gives the same result by definition."""
-    messages = arrow_column(pdf["message"]).cast(pa.string())
+    messages = messages.cast(pa.string())  # _lines_with reads 32-bit offsets
     # within printable ASCII, str.strip/split(" ")/isdigit and Arrow's
     # byte-wise split and [0-9] agree, so the column kernel is exact there
     exact = ~_lines_with(messages, lambda b: (b < 0x20) | (b > 0x7e))
     if messages.null_count:
         exact &= messages.is_valid().to_numpy(zero_copy_only=False)
     if exact.all():
-        templates, variables = _tag_column(messages, tree)
-    else:
-        inside, outside = np.flatnonzero(exact), np.flatnonzero(~exact)
-        col_t, col_v = _tag_column(messages.take(inside), tree)
-        each_t, each_v = _tag_each(messages.take(outside).to_pylist(), tree)
-        pos = np.empty(len(exact), np.int64)
-        pos[inside], pos[outside] = np.arange(len(inside)), len(inside) + np.arange(len(outside))
-        templates = pa.concat_arrays([col_t, pa.array(each_t, pa.string())]).take(pos)
-        variables = pa.concat_arrays([col_v, pa.array(each_v, col_v.type)]).take(pos)
-    pdf["template"] = pd.Series(pd.arrays.ArrowExtensionArray(templates), index=pdf.index)
-    pdf["variables"] = pd.Series(pd.arrays.ArrowExtensionArray(variables), index=pdf.index)
-    return pdf
+        return _tag_column(messages, tree)
+    inside, outside = np.flatnonzero(exact), np.flatnonzero(~exact)
+    col_t, col_v = _tag_column(messages.take(inside), tree)
+    each_t, each_v = _tag_each(messages.take(outside).to_pylist(), tree)
+    pos = np.empty(len(exact), np.int64)
+    pos[inside], pos[outside] = np.arange(len(inside)), len(inside) + np.arange(len(outside))
+    return (pa.concat_arrays([col_t, pa.array(each_t, pa.string())]).take(pos),
+            pa.concat_arrays([col_v, pa.array(each_v, col_v.type)]).take(pos))
 
 
 def match_fitted(df: DataFrame, b_parser: Broadcast) -> DataFrame:
-    """Add ``template``/``variables`` to ``df`` in one narrow pass of
-    :func:`tag_lines` against the broadcast tree ``b_parser``; only the
-    ``message`` column goes through pandas, the rest passes as Arrow."""
+    """Add ``template``/``variables`` to ``df`` in one narrow
+    ``mapInArrow`` pass: each Arrow batch's ``message`` column is tagged
+    by :func:`tag_lines` against the broadcast tree ``b_parser``."""
     base = df.drop("cluster_id", "template", "variables")
     schema = T.StructType(base.schema.fields + [
         T.StructField("template", T.StringType()),
@@ -303,10 +298,9 @@ def match_fitted(df: DataFrame, b_parser: Broadcast) -> DataFrame:
 
     def tag(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         for batch in batches:
-            tagged = tag_lines(arrow_frame([batch.select(["message"])]), b_parser.value)
-            yield pa.RecordBatch.from_arrays(
-                [*batch.columns, *(pa.array(tagged[c].array) for c in ("template", "variables"))],
-                names=[*batch.schema.names, "template", "variables"])
+            templates, variables = tag_lines(batch.column("message"), b_parser.value)
+            yield batch.append_column("template", templates).append_column("variables",
+                                                                            variables)
 
     return base.mapInArrow(tag, schema=schema)
 

@@ -22,7 +22,8 @@ aggregation paths — DESIGN.md substitution 4):
   restart keeps it, and a query first started before dynamic-allocation
   executors register keeps a lower count. In ``foreachBatch`` each
   micro-batch of *closed* session windows is flattened back to lines in
-  Spark (``inline``), collected, and scored on the driver by
+  Spark (``inline``), collected as one Arrow table (``toArrow``), and
+  scored on the driver by
   :func:`~repro.detect.scoring.score_sessions` — the same function
   ``MoniLog.detect`` runs partition-parallel — and every anomalous
   session becomes an :class:`AnomalyReport` routed through the §V
@@ -130,10 +131,10 @@ class StreamingMoniLog:
     def _score_batch(self, batch_df: DataFrame, batch_id: int) -> None:
         if batch_id in self._scored_batches:  # at-least-once replay
             return
-        pdf = batch_df.selectExpr("session_id", "inline(lines)").toPandas()
-        pdf = pdf[pdf["session_id"] != FLUSH_SESSION]
+        lines = (batch_df.where(F.col("session_id") != FLUSH_SESSION)
+                 .selectExpr("session_id", "inline(lines)").toArrow())
         ml = self.monilog
-        scored = score_sessions(pdf, ml.seq_model, ml.quant_model)
+        scored = score_sessions(lines, ml.seq_model, ml.quant_model)
         with self._lock:
             self.results.extend(scored[PRED_COLUMNS].to_dict("records"))
         for report in session_reports(scored):

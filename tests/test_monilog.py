@@ -128,7 +128,7 @@ def test_detect_equals_driver_scoring_across_arrow_batches(spark, fitted):
     test = generate(StreamSpec(n_sessions=150, n_sources=2, anomaly_rate=0.1,
                                jitter_s=1.0, seed=73))
     df = spark.createDataFrame(test.sample(frac=1, random_state=1))
-    ref = score_sessions(fitted.parse(df).toPandas(), fitted.seq_model, fitted.quant_model)
+    ref = score_sessions(fitted.parse(df).toArrow(), fitted.seq_model, fitted.quant_model)
     key = "spark.sql.execution.arrow.maxRecordsPerBatch"
     old = spark.conf.get(key)
     spark.conf.set(key, "64")
@@ -190,7 +190,7 @@ def test_fit_equals_full_width_parse_and_tag(spark, fitted):
                  .sort_values(["session_id", "ts", "line_id"]))
         test = spark.createDataFrame(generate(StreamSpec(n_sessions=150, n_sources=2,
                                                          anomaly_rate=0.1, seed=71)))
-        tagged = match_fitted(test, b_tree).toPandas()
+        tagged = match_fitted(test, b_tree).toArrow()
     finally:
         b_tree.destroy()
     seq = NGramDetector().fit(lines.groupby("session_id", sort=False)["template"].agg(list))

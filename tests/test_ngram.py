@@ -38,11 +38,6 @@ def test_silent_truncation_flagged_via_eos(trained):
     assert trained.is_anomalous(["open", "send"])
 
 
-def test_truncation_not_flagged_without_eos():
-    d = NGramDetector(h=3, g=2, use_eos=False).fit([FLOW] * 50)
-    assert not d.is_anomalous(["open", "send"])
-
-
 def test_vocab_contains_events_and_eos(trained):
     assert set(FLOW) <= trained.vocab
     assert EOS in trained.vocab
@@ -81,8 +76,10 @@ def test_window_flags_length(trained):
 
 
 def test_empty_sequence():
-    d = NGramDetector(h=2, g=1, use_eos=False).fit([["a"]])
+    # an empty session is EOS right after BOS: normal only if training saw one
+    d = NGramDetector(h=2, g=2).fit([["a"], []])
     assert not d.is_anomalous([])
+    assert NGramDetector(h=2, g=2).fit([["a"]]).is_anomalous([])
 
 
 def test_predict_batches(trained):

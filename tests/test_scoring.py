@@ -1,8 +1,10 @@
-"""Tests for session scoring (detect.scoring): the pure-pandas MoniLog
-rule and Spark-distributed sequence scoring."""
+"""Tests for session scoring (detect.scoring): the Arrow-in MoniLog rule
+and Spark-distributed sequence scoring."""
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.detect.loganomaly import LogAnomalyDetector
 from repro.detect.ngram import NGramDetector
@@ -10,8 +12,11 @@ from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import (LINE_FIELDS, SCORED_SCHEMA, score_sequences, score_sessions,
                                   session_reports)
 from repro.detect.sequences import session_sequences
-from repro.loggen.generator import StreamSpec, generate
 from repro.evaluation.tables import template_map
+from repro.loggen import instability
+from repro.loggen.generator import StreamSpec, generate
+from repro.parsing.distributed import _drain, _final_templates, merge_templates, tag_lines
+from repro.streaming.pipeline import STRUCTURED_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +102,8 @@ def scored(models):
     lines = pd.DataFrame([{"session_id": sid, **line}
                           for sid, ls in SESSIONS.items() for line in ls])
     lines = lines.sample(frac=1, random_state=0)
-    return score_sessions(lines, *models).set_index("session_id")
+    return score_sessions(pa.Table.from_pandas(lines, preserve_index=False),
+                          *models).set_index("session_id")
 
 
 @pytest.mark.parametrize("session_id,seq_pred,quant_pred", [
@@ -125,8 +131,8 @@ def test_session_reports_one_per_flagged_session(scored):
 
 
 def test_score_sessions_empty_frame(models):
-    # stage B's empty micro-batch: no lines, no verdicts
-    empty = pd.DataFrame(columns=["session_id", *LINE_FIELDS])
+    # stage B's empty micro-batch: its lines' schema, no rows, no verdicts
+    empty = to_arrow_schema(STRUCTURED_SCHEMA).empty_table().select(["session_id", *LINE_FIELDS])
     out = score_sessions(empty, *models)
     assert out.empty and list(out.columns) == [c.split()[0] for c in SCORED_SCHEMA.split(", ")]
 
@@ -134,8 +140,8 @@ def test_score_sessions_empty_frame(models):
 def _reference_scores(lines, seq, quant):
     """Score each session on its own with the per-session reference calls."""
     rows = []
-    for sid, s in lines.sort_values(["session_id", "ts", "line_id"]).groupby("session_id",
-                                                                            sort=False):
+    order = ["session_id", "ts", "line_id", "template", "level"]
+    for sid, s in lines.sort_values(order).groupby("session_id", sort=False):
         events, variables = s["template"].tolist(), [list(v) for v in s["variables"]]
         seq_pred = seq.is_anomalous(events)
         quant_pred = quant.session_flag(zip(events, variables))
@@ -146,15 +152,16 @@ def _reference_scores(lines, seq, quant):
     return pd.DataFrame(rows, columns=[c.split()[0] for c in SCORED_SCHEMA.split(", ")])
 
 
-def test_score_sessions_equals_per_session_reference():
-    from repro.loggen import instability
-    from repro.parsing.distributed import _drain, _final_templates, merge_templates, tag_lines
-
+@pytest.fixture(scope="module")
+def unstable():
+    """Models fitted on a clean stream, and instability-injected lines
+    tagged against the same tree, as one Arrow table in arrival order."""
     train = generate(StreamSpec(n_sessions=300, n_sources=8, seed=90))
     local = _drain(4, 0.5, True, False)
     ids = [cid for cid, _ in local.parse_many(train["message"])]
     tree, _ = merge_templates(sorted(set(_final_templates(local, ids))))
-    fitted = (tag_lines(train.copy(), tree).astype({"template": object})
+    templates, variables = tag_lines(pa.array(train["message"]), tree)
+    fitted = (train.assign(template=templates.to_pylist(), variables=variables.to_pylist())
               .sort_values(["session_id", "ts", "line_id"]))
     seq = NGramDetector().fit(fitted.groupby("session_id", sort=False)["template"].agg(list))
     quant = ValueRangeDetector().fit(zip(fitted["template"], fitted["variables"]))
@@ -162,25 +169,46 @@ def test_score_sessions_equals_per_session_reference():
     test = generate(StreamSpec(n_sessions=200, n_sources=8, anomaly_rate=0.1, seed=91))
     unstable, counts = instability.inject(test, 0.2, kinds=instability.KINDS, seed=4)
     assert all(counts[k] > 0 for k in instability.KINDS)
-    lines = tag_lines(unstable[["session_id", "message", "ts", "line_id", "source", "level"]]
-                      .copy(), tree)
+    templates, variables = tag_lines(pa.array(unstable["message"]), tree)
+    templates, variables = templates.to_pylist(), variables.to_pylist()
     # values float() and Arrow's string-to-float cast read differently
-    variables = [list(v) for v in lines["variables"]]
-    modelled = [i for i, (t, v) in enumerate(zip(lines["template"], variables))
+    modelled = [i for i, (t, v) in enumerate(zip(templates, variables))
                 if any(s < len(v) for s, _ in quant._slots.get(t, ()))]
     odd = ["1_000", "1e3", "-0.5", ".5", "nan", "inf", "+7", "٣"]
     for j, i in enumerate(modelled[::7]):
-        slot = quant._slots[lines["template"].iloc[i]][0][0]
-        variables[i][slot] = odd[j % len(odd)]
-    lines["variables"] = pd.Series(pd.arrays.ArrowExtensionArray(
-        pa.array(variables, pa.list_(pa.string()))), index=lines.index)
-    # arrival order; a dup line and its shuffled original tie on (ts, line_id)
-    lines = lines.sample(frac=1, random_state=1)
+        variables[i][quant._slots[templates[i]][0][0]] = odd[j % len(odd)]
+    lines = (unstable[["session_id", "ts", "line_id", "source", "level"]]
+             .assign(template=templates, variables=variables)
+             .sample(frac=1, random_state=1))  # arrival order
+    return pa.Table.from_pandas(lines, preserve_index=False), seq, quant
 
-    expect = _reference_scores(lines, seq, quant)
+
+def test_score_sessions_equals_per_session_reference(unstable):
+    lines, seq, quant = unstable
+    expect = _reference_scores(lines.to_pandas(), seq, quant)
     assert expect["seq_pred"].sum() > 0 and expect["quant_pred"].sum() > 0
     assert (expect["pred"] == 0).sum() > 0
-    # Arrow-backed, as tag_lines gives them, or Python objects, as in stage B
-    for frame in (lines, lines.astype({"template": object, "variables": object})):
-        got = score_sessions(frame, seq, quant).sort_values("session_id")
-        pd.testing.assert_frame_equal(got.reset_index(drop=True), expect, check_dtype=False)
+    got = score_sessions(lines, seq, quant).sort_values("session_id", ignore_index=True)
+    pd.testing.assert_frame_equal(got, expect, check_dtype=False)
+
+
+def test_score_sessions_independent_of_arrival_order(unstable):
+    lines, seq, quant = unstable
+    # a dup line and its shuffled original tie on (session_id, ts, line_id)
+    # but carry different templates
+    keys = lines.select(["session_id", "ts", "line_id", "template"]).to_pandas()
+    tied = keys.groupby(["session_id", "ts", "line_id"])["template"].nunique()
+    assert (tied > 1).any()
+    scored = [score_sessions(lines.take(np.random.default_rng(seed).permutation(len(lines))),
+                             seq, quant).sort_values("session_id", ignore_index=True)
+              for seed in (0, 1)]
+    pd.testing.assert_frame_equal(*scored)
+
+
+def test_score_sessions_reads_every_record_batch(unstable):
+    # detect scores the record batches of a partition as one table
+    lines, seq, quant = unstable
+    batched = pa.Table.from_batches(lines.to_batches(max_chunksize=len(lines) // 3 + 1))
+    assert batched.column("session_id").num_chunks >= 2
+    pd.testing.assert_frame_equal(score_sessions(batched, seq, quant),
+                                  score_sessions(batched.combine_chunks(), seq, quant))
