@@ -22,14 +22,14 @@ from typing import Iterable
 from repro.classify.pools import (CRITICALITY_LEVELS, DEFAULT_POOL,
                                   AnomalyReport, PoolAction, PoolSystem)
 
+ALPHA = 1.0  # Laplace smoothing count
+
 
 class IncrementalNB:
-    """Multinomial naive Bayes with Laplace smoothing, online updates."""
+    """Multinomial naive Bayes with Laplace smoothing (:data:`ALPHA`),
+    online updates."""
 
-    def __init__(self, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._class_docs: Counter = Counter()
         self._token_counts: dict[str, Counter] = defaultdict(Counter)
         self._class_tokens: Counter = Counter()
@@ -56,10 +56,10 @@ class IncrementalNB:
         out: dict[str, float] = {}
         for c in self._class_docs:
             lp = math.log((self._class_docs[c]) / total_docs)
-            denom = self._class_tokens[c] + self.alpha * v
+            denom = self._class_tokens[c] + ALPHA * v
             tc = self._token_counts[c]
             for t in tokens:
-                lp += math.log((tc.get(t, 0) + self.alpha) / denom)
+                lp += math.log((tc.get(t, 0) + ALPHA) / denom)
             out[c] = lp
         return out
 
@@ -73,9 +73,9 @@ class IncrementalNB:
 class AnomalyClassifier:
     """Pool + criticality heads, fed by :class:`PoolSystem` actions."""
 
-    def __init__(self, alpha: float = 1.0) -> None:
-        self.pool_head = IncrementalNB(alpha)
-        self.level_head = IncrementalNB(alpha)
+    def __init__(self) -> None:
+        self.pool_head = IncrementalNB()
+        self.level_head = IncrementalNB()
         self._reports: dict[str, AnomalyReport] = {}
 
     # -- inference --------------------------------------------------------

@@ -42,8 +42,8 @@ from repro.classify.classifier import AnomalyClassifier
 from repro.classify.pools import AnomalyReport, PoolSystem
 from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
-from repro.detect.scoring import (PRED_COLUMNS, SCORED_SCHEMA, score_sessions,
-                                  session_reports)
+from repro.detect.scoring import (EVENT_ORDER, PRED_COLUMNS, SCORED_SCHEMA,
+                                  score_sessions, session_reports)
 from repro.parsing.distributed import learn_templates, match_fitted, tag_lines
 from repro.parsing.drain import Drain
 # perfbench's traced runs patch these names on this module, so they stay
@@ -87,10 +87,11 @@ class MoniLog:
         nothing learned from an earlier stream carries over."""
         self.parser, _ = learn_templates(train_raw)
         self._b_parser = self._rebroadcast(self._b_parser, self.parser)
-        lines = (self.parse(train_raw.select("session_id", "ts", "line_id", "message"))
+        lines = (self.parse(train_raw.select("session_id", "ts", "line_id", "level",
+                                             "message"))
                  .drop("message")
                  .toPandas()
-                 .sort_values(["session_id", "ts", "line_id"]))
+                 .sort_values(list(EVENT_ORDER)))
         self.seq_model = NGramDetector().fit(
             lines.groupby("session_id", sort=False)["template"].agg(list))
         self.quant_model = ValueRangeDetector().fit(zip(lines["template"], lines["variables"]))

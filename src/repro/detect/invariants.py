@@ -9,8 +9,9 @@ miner searches sparse integer invariants over event-count columns:
 * pairwise: ``a*c_i - b*c_j = 0`` with small integer ratio a:b,
 * constant: ``c_i = k`` whenever an event occurs a fixed count.
 
-An invariant is kept when it holds in at least ``support`` of the
-normal sessions where either event occurs. A test session is anomalous
+Only events seen in at least :data:`MIN_OCCURRENCES` normal sessions are
+mined; an invariant is kept when it holds in at least :data:`SUPPORT` of
+the normal sessions where either event occurs. A test session is anomalous
 iff it violates any mined invariant — order-insensitive, which is why
 §III expects the counter family to resist multi-source mixing (T3).
 """
@@ -22,6 +23,9 @@ from itertools import combinations
 import numpy as np
 
 _RATIOS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+SUPPORT = 0.98  # share of the sessions with either event a pair must hold in
+MIN_OCCURRENCES = 5  # fewest sessions with the event(s) to mine from
+TOL_QUANTILE = 0.995  # normal-session residual quantile a pair tolerates
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,15 +49,7 @@ class Invariant:
 
 
 class InvariantMiner:
-    def __init__(self, *, support: float = 0.98, min_occurrences: int = 5,
-                 tol_quantile: float = 0.995) -> None:
-        if not 0 < support <= 1:
-            raise ValueError("support must be in (0, 1]")
-        if not 0 < tol_quantile <= 1:
-            raise ValueError("tol_quantile must be in (0, 1]")
-        self.support = support
-        self.min_occurrences = min_occurrences
-        self.tol_quantile = tol_quantile
+    def __init__(self) -> None:
         self.invariants: list[Invariant] = []
 
     def fit(self, X: np.ndarray) -> "InvariantMiner":
@@ -63,7 +59,7 @@ class InvariantMiner:
         occurs = X > 0
         for i in range(d):
             rows = occurs[:, i]
-            if rows.sum() < self.min_occurrences:
+            if rows.sum() < MIN_OCCURRENCES:
                 continue
             vals = np.unique(X[rows, i])
             if len(vals) == 1:
@@ -71,17 +67,17 @@ class InvariantMiner:
         for i, j in combinations(range(d), 2):
             rows = occurs[:, i] | occurs[:, j]
             m = int(rows.sum())
-            if m < self.min_occurrences:
+            if m < MIN_OCCURRENCES:
                 continue
             xi, xj = X[rows, i], X[rows, j]
             for a, b in _RATIOS:
                 resid = np.abs(a * xi - b * xj)
                 ok = float((resid == 0).mean())
-                if ok >= self.support:
-                    # tolerance = residual bound covering tol_quantile of
+                if ok >= SUPPORT:
+                    # tolerance = residual bound covering TOL_QUANTILE of
                     # *normal* sessions (benign rare flows, e.g. retries,
                     # must mostly not alarm; true deviations exceed it)
-                    tol = float(np.quantile(resid, self.tol_quantile))
+                    tol = float(np.quantile(resid, TOL_QUANTILE))
                     self.invariants.append(
                         Invariant("pair", i, j, a=a, b=b, tol=tol))
                     break

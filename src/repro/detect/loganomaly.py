@@ -12,8 +12,10 @@ z-scores (template-count vectors, LogAnomaly's "quantitative pattern").
 
 The matcher is the measured variable: with it, a twisted template maps
 back onto the trained flow (T4's expected LogAnomaly advantage over
-DeepLog); without a close-enough match (similarity < ``min_sim``), the
-event stays unknown and is flagged by the n-gram model.
+DeepLog); without a close-enough match (similarity < :data:`MIN_SIM`),
+the event stays unknown and is flagged by the n-gram model. A window
+count more than :data:`Z_K` robust deviations from its training mean is
+a quantitative anomaly.
 """
 from __future__ import annotations
 
@@ -23,6 +25,9 @@ import numpy as np
 
 from repro.detect.ngram import NGramDetector
 from repro.detect.semantic import SemanticVectorizer, _subtokens
+
+MIN_SIM = 0.5  # least cosine similarity of a matched template
+Z_K = 8.0  # deviations (floored at 0.5) an event's count may stray from its mean
 
 
 def _jaccard(a: str, b: str) -> float:
@@ -36,22 +41,23 @@ def _jaccard(a: str, b: str) -> float:
 class TemplateMatcher:
     """Map an unseen template's id onto the nearest trained event id."""
 
-    def __init__(self, *, d: int = 32, min_sim: float = 0.5) -> None:
-        self.vec = SemanticVectorizer(d)
-        self.min_sim = min_sim
+    def __init__(self) -> None:
+        self.vec = SemanticVectorizer()
         self._known: dict[str, str] = {}  # event_id -> template text
         self._vecs: dict[str, np.ndarray] = {}
         self._cache: dict[str, str | None] = {}
 
     def fit(self, id_to_template: Mapping[str, str]) -> "TemplateMatcher":
+        """Learn the known templates, forgetting every earlier match."""
         self._known = dict(id_to_template)
         self.vec.fit(self._known.values())
         self._vecs = {eid: self.vec.transform(t) for eid, t in self._known.items()}
+        self._cache = {}
         return self
 
     def match(self, event_id: str, template: str | None) -> str | None:
         """Known ids map to themselves; unknown ids map to the most
-        similar known template's id, or None below ``min_sim``."""
+        similar known template's id, or None below :data:`MIN_SIM`."""
         if event_id in self._known:
             return event_id
         if template is None:
@@ -65,7 +71,7 @@ class TemplateMatcher:
             sim = float(v @ kv)
             if sim > best_sim:
                 best, best_sim = eid, sim
-        if best is not None and best_sim < self.min_sim:
+        if best is not None and best_sim < MIN_SIM:
             best = None
         if best is not None and _jaccard(template, self._known[best]) == 0.0:
             best = None  # cosine fluke with zero shared words
@@ -76,18 +82,17 @@ class TemplateMatcher:
 class LogAnomalyDetector:
     """Sequential (matched n-gram) + quantitative (count z-score) model."""
 
-    def __init__(self, *, h: int = 4, g: int = 9, d: int = 32,
-                 min_sim: float = 0.5, z_k: float = 8.0) -> None:
+    def __init__(self, *, h: int = 4, g: int = 9) -> None:
         self.seq = NGramDetector(h=h, g=g)
-        self.matcher = TemplateMatcher(d=d, min_sim=min_sim)
-        self.z_k = z_k
+        self.matcher = TemplateMatcher()
         self._count_mu: dict[str, float] = {}
         self._count_sd: dict[str, float] = {}
 
     def fit(self, sequences: Sequence[Sequence[str]],
             id_to_template: Mapping[str, str]) -> "LogAnomalyDetector":
         """Train on normal sequences (anomaly-free regime) plus the
-        trained template catalogue for matching."""
+        trained template catalogue for matching; a refit replaces every
+        learned table."""
         self.seq.fit(sequences)
         self.matcher.fit(id_to_template)
         per_event: dict[str, list[float]] = {}
@@ -97,10 +102,8 @@ class LogAnomalyDetector:
                 counts[e] = counts.get(e, 0.0) + 1.0
             for e in self.seq.vocab:
                 per_event.setdefault(e, []).append(counts.get(e, 0.0))
-        for e, xs in per_event.items():
-            arr = np.asarray(xs)
-            self._count_mu[e] = float(arr.mean())
-            self._count_sd[e] = float(arr.std())
+        self._count_mu = {e: float(np.mean(xs)) for e, xs in per_event.items()}
+        self._count_sd = {e: float(np.std(xs)) for e, xs in per_event.items()}
         return self
 
     def _map_sequence(self, seq: Sequence[str],
@@ -125,7 +128,7 @@ class LogAnomalyDetector:
             mu, sd = self._count_mu.get(e), self._count_sd.get(e)
             if mu is None:
                 continue
-            if abs(c - mu) > self.z_k * max(sd, 0.5):
+            if abs(c - mu) > Z_K * max(sd, 0.5):
                 return True
         return False
 

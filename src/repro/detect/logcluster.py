@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.detect.sequences import idf
+
 
 def _cosine_dist(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -20,26 +22,20 @@ def _cosine_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class LogClusterDetector:
-    def __init__(self, *, threshold: float = 0.1, tfidf: bool = True) -> None:
+    def __init__(self, *, threshold: float = 0.1) -> None:
         if not 0 < threshold < 1:
             raise ValueError("threshold must be in (0, 1)")
         self.threshold = threshold
-        self.tfidf = tfidf
         self._idf: np.ndarray | None = None
         self.centroids: list[np.ndarray] = []
         self._sizes: list[int] = []
 
-    def _weight(self, X: np.ndarray) -> np.ndarray:
-        if not self.tfidf:
-            return X.astype(np.float64)
-        if self._idf is None:
-            dfreq = (X > 0).sum(axis=0)
-            self._idf = np.log((1 + X.shape[0]) / (1 + dfreq)) + 1.0
-        return X * self._idf
-
     def fit(self, X: np.ndarray) -> "LogClusterDetector":
-        """Build the normal-behaviour knowledge base from normal counts."""
-        for x in self._weight(X):
+        """Build the normal-behaviour knowledge base from normal counts,
+        replacing the IDF weights and clusters of any earlier fit."""
+        self._idf = idf(X)
+        self.centroids, self._sizes = [], []
+        for x in X * self._idf:
             best, best_d = -1, np.inf
             for c, cent in enumerate(self.centroids):
                 dist = _cosine_dist(x, cent)
@@ -59,7 +55,7 @@ class LogClusterDetector:
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
-        for r, x in enumerate(self._weight(X)):
+        for r, x in enumerate(X * self._idf):
             out[r] = min((_cosine_dist(x, c) for c in self.centroids), default=1.0)
         return out
 

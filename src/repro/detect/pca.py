@@ -2,61 +2,48 @@
 SOSP'09) — the paper's first counter-based baseline (§III).
 
 Sessions become TF-IDF-weighted event-count vectors; PCA on *normal*
-training vectors yields a principal subspace capturing ``variance``
+training vectors yields a principal subspace capturing :data:`VARIANCE`
 of the energy; a session is anomalous when the squared norm of its
 residual projection (the Q-statistic / SPE) exceeds a threshold set at
-the ``q_quantile`` of training residuals (the classical chi-square-like
-calibration, made distribution-free).
+the :data:`Q_QUANTILE` of training residuals (the classical
+chi-square-like calibration, made distribution-free).
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.detect.sequences import idf
+
+VARIANCE = 0.95  # share of the training energy the principal subspace keeps
+Q_QUANTILE = 0.995  # training residual quantile that sets the threshold
+
 
 class PCADetector:
-    def __init__(self, *, variance: float = 0.95, q_quantile: float = 0.995,
-                 tfidf: bool = True) -> None:
-        if not 0 < variance <= 1:
-            raise ValueError("variance must be in (0, 1]")
-        self.variance = variance
-        self.q_quantile = q_quantile
-        self.tfidf = tfidf
+    def __init__(self) -> None:
         self._idf: np.ndarray | None = None
         self._mu: np.ndarray | None = None
         self._P: np.ndarray | None = None  # principal components (d x k)
         self.threshold: float = 0.0
 
-    def _weight(self, X: np.ndarray) -> np.ndarray:
-        if not self.tfidf:
-            return X.astype(np.float64)
-        if self._idf is None:
-            dfreq = (X > 0).sum(axis=0)
-            self._idf = np.log((1 + X.shape[0]) / (1 + dfreq)) + 1.0
-        return X * self._idf
-
-    def _residual(self, Xw: np.ndarray) -> np.ndarray:
-        Z = Xw - self._mu
-        proj = Z @ self._P @ self._P.T
-        R = Z - proj
-        return (R * R).sum(axis=1)
-
     def fit(self, X: np.ndarray) -> "PCADetector":
-        """``X``: normal-session count matrix (n x d, fixed vocabulary)."""
-        Xw = self._weight(X)
+        """``X``: normal-session count matrix (n x d, fixed vocabulary).
+        Every learned value, the IDF weights included, is replaced."""
+        self._idf = idf(X)
+        Xw = X * self._idf
         self._mu = Xw.mean(axis=0)
-        Z = Xw - self._mu
-        # SVD of the centred matrix; keep components reaching `variance`
-        _, s, Vt = np.linalg.svd(Z, full_matrices=False)
+        # SVD of the centred matrix; keep components reaching VARIANCE
+        _, s, Vt = np.linalg.svd(Xw - self._mu, full_matrices=False)
         energy = np.cumsum(s**2) / max(float((s**2).sum()), 1e-12)
-        k = int(np.searchsorted(energy, self.variance) + 1)
-        k = min(k, Vt.shape[0])
+        k = min(int(np.searchsorted(energy, VARIANCE) + 1), Vt.shape[0])
         self._P = Vt[:k].T
-        q = self._residual(Xw)
-        self.threshold = float(np.quantile(q, self.q_quantile)) + 1e-9
+        self.threshold = float(np.quantile(self.scores(X), Q_QUANTILE)) + 1e-9
         return self
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        return self._residual(self._weight(X))
+        """Each row's squared residual off the principal subspace (SPE)."""
+        Z = X * self._idf - self._mu
+        R = Z - Z @ self._P @ self._P.T
+        return (R * R).sum(axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.scores(X) > self.threshold).astype(np.int64)

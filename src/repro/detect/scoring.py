@@ -32,6 +32,10 @@ from repro.classify.pools import AnomalyReport, make_report
 
 # the per-line columns score_sessions reads, besides session_id
 LINE_FIELDS = ("ts", "line_id", "source", "level", "template", "variables")
+# event-time order of a session's lines, for training and scoring alike: a
+# (ts, line_id) tie (a duplicated line) is broken on the fields the scorer
+# reads in sequence, so no arrival order shows through
+EVENT_ORDER = ("session_id", "ts", "line_id", "template", "level")
 PRED_COLUMNS = ["session_id", "seq_pred", "quant_pred", "pred"]
 SCORED_SCHEMA = ("session_id string, seq_pred int, quant_pred int, pred int, "
                  "source string, events array<string>, levels array<string>")
@@ -42,13 +46,11 @@ def score_sessions(lines: pa.Table, seq_model, quant_model) -> pd.DataFrame:
     ``session_id`` and the :data:`LINE_FIELDS` columns, in one or more
     chunks; other columns are ignored.
 
-    Lines are ordered by ``(session_id, ts, line_id, template, level)`` in
-    one sort: event time, not arrival order, defines each flow, and a
-    ``(ts, line_id)`` tie (a duplicated line) is broken on the fields the
-    scorer reads in sequence, so no arrival order shows through. A
-    session's template sequence goes to ``seq_model.is_anomalous``, once
-    per distinct sequence; the quantitative flags of all lines come from
-    one ``quant_model.line_flags`` pass (``session_flag`` of each session,
+    Lines are ordered by :data:`EVENT_ORDER` in one sort: event time, not
+    arrival order, defines each flow. A session's template sequence goes
+    to ``seq_model.is_anomalous``, once per distinct sequence; the
+    quantitative flags of all lines come from one
+    ``quant_model.line_flags`` pass (``session_flag`` of each session,
     column-wise). Returns :data:`PRED_COLUMNS` plus, for flagged sessions
     only (None otherwise), the report payload ``source``, ``events``
     (templates) and ``levels`` in line order.
@@ -57,9 +59,8 @@ def score_sessions(lines: pa.Table, seq_model, quant_model) -> pd.DataFrame:
         return pd.DataFrame(columns=PRED_COLUMNS + ["source", "events", "levels"])
     cols = {c: lines.column(c).combine_chunks() for c in ("session_id", *LINE_FIELDS)}
     # a total order on every field read in sequence; variables only feed an OR
-    key = ("session_id", "ts", "line_id", "template", "level")
-    order = pc.sort_indices(pa.table({c: cols[c] for c in key}),
-                            sort_keys=[(c, "ascending") for c in key]).to_numpy()
+    order = pc.sort_indices(pa.table({c: cols[c] for c in EVENT_ORDER}),
+                            sort_keys=[(c, "ascending") for c in EVENT_ORDER]).to_numpy()
     sids = pc.dictionary_encode(cols["session_id"].take(order))
     starts = np.flatnonzero(np.diff(sids.indices.to_numpy(), prepend=-1))
     ends = np.append(starts[1:], len(order))

@@ -11,7 +11,9 @@ Substitution (DESIGN.md S10): token embeddings are deterministic random
 projections (random indexing — a standard drop-in when no pretrained
 word vectors are available), template vectors are TF-IDF-weighted token
 means, a session is the concatenation of mean- and max-pooled template
-vectors, and the classifier is L2-regularised logistic regression. The
+vectors, and the classifier is L2-regularised logistic regression
+(:data:`L2`), trained by :data:`EPOCHS` full-batch gradient steps of
+size :data:`LR`. The
 representation (token-level semantics, fixed dimension, supervised
 sequence classification) is the property under test in T1/T2/T4.
 
@@ -31,6 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+L2 = 1e-3  # logistic regression's L2 penalty
+LR = 0.5  # gradient step size
+EPOCHS = 300  # full-batch gradient steps
 
 
 def _subtokens(token: str) -> list[str]:
@@ -61,10 +66,12 @@ class SemanticVectorizer:
         self._cache: dict[str, np.ndarray] = {}
 
     def fit(self, templates: Iterable[str]) -> "SemanticVectorizer":
+        """Learn the IDF weights, forgetting every earlier template vector."""
         docs = [set(w for t in tpl.split() for w in _subtokens(t)) for tpl in templates]
         self._n_docs = len(docs)
         df = Counter(w for doc in docs for w in doc)
         self._idf = {w: math.log((1 + self._n_docs) / (1 + c)) + 1.0 for w, c in df.items()}
+        self._cache = {}
         return self
 
     def transform(self, template: str) -> np.ndarray:
@@ -113,12 +120,8 @@ def _session_features(seq_templates: Sequence[str], vec: SemanticVectorizer) -> 
 class SemanticDetector:
     """Supervised sequence classifier over semantic session features."""
 
-    def __init__(self, *, d: int = 32, l2: float = 1e-3, lr: float = 0.5,
-                 epochs: int = 300) -> None:
+    def __init__(self, *, d: int = 32) -> None:
         self.vec = SemanticVectorizer(d)
-        self.l2 = l2
-        self.lr = lr
-        self.epochs = epochs
         self.w: np.ndarray | None = None
         self.b = 0.0
         self._mu: np.ndarray | None = None
@@ -131,9 +134,11 @@ class SemanticDetector:
     def fit(self, sequences: Sequence[Sequence[str]], labels: Sequence[int]) -> "SemanticDetector":
         """``sequences`` are per-session *template text* sequences;
         ``labels`` 1 = anomalous. A single-class training set (the
-        anomaly-free regime) produces the degenerate constant model."""
+        anomaly-free regime) produces the degenerate constant model. A
+        refit replaces every learned value."""
         y = np.asarray(labels, dtype=np.float64)
         self.vec.fit({t for s in sequences for t in s})
+        self.w, self.b, self._mu, self._sigma, self.single_class = None, 0.0, None, None, None
         if len(set(y.tolist())) < 2:
             self.single_class = int(y[0]) if len(y) else 0
             return self
@@ -148,13 +153,13 @@ class SemanticDetector:
         n, d = Xn.shape
         w = np.zeros(d)
         b = 0.0
-        for _ in range(self.epochs):  # full-batch gradient descent
+        for _ in range(EPOCHS):  # full-batch gradient descent
             z = Xn @ w + b
             p = 1.0 / (1.0 + np.exp(-z))
-            gw = Xn.T @ (p - y) / n + self.l2 * w
+            gw = Xn.T @ (p - y) / n + L2 * w
             gb = float(np.mean(p - y))
-            w -= self.lr * gw
-            b -= self.lr * gb
+            w -= LR * gw
+            b -= LR * gb
         self.w, self.b = w, b
         return self
 

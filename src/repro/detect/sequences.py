@@ -77,3 +77,9 @@ def count_matrix(seq_pdf: pd.DataFrame, vocab: list[str] | None = None
             X[r, index.get(e, len(base))] += 1.0
     labels = seq_pdf["label"].to_numpy(dtype=np.int64)
     return X, base + ["<unk>"], labels, seq_pdf["session_id"].tolist()
+
+
+def idf(X: np.ndarray) -> np.ndarray:
+    """Smoothed inverse document frequency of each column of a count
+    matrix: the TF-IDF weights PCA and LogClustering learn at ``fit``."""
+    return np.log((1 + X.shape[0]) / (1 + (X > 0).sum(axis=0))) + 1.0

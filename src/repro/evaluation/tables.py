@@ -276,7 +276,7 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
     import time
 
     from repro.parsing import metrics
-    from repro.parsing.distributed import _final_templates, parse_distributed
+    from repro.parsing.distributed import parse_distributed
     from repro.parsing.drain import Drain
     from repro.parsing.preprocess import preprocess
     from repro.parsing.spell import Spell
@@ -296,7 +296,7 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
             "Drain st=0.3": Drain(st=0.3, preprocess=prep),
             "Drain st=0.5": Drain(st=0.5, preprocess=prep),
             "Drain st=0.7": Drain(st=0.7, preprocess=prep),
-            "Spell tau=0.5": Spell(tau=0.5, preprocess=prep),
+            "Spell tau=0.5": Spell(preprocess=prep),
         }
         for name, parser in parsers.items():
             msgs = messages
@@ -307,7 +307,7 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
             res = parser.parse_many(msgs)
             dt = time.perf_counter() - t0
             pred = [cid for cid, _ in res]
-            eq1 = _eq1_rows(stream.iloc[: len(msgs)], _final_templates(parser, pred), prep)
+            eq1 = _eq1_rows(stream.iloc[: len(msgs)], [tpl for _, tpl in res], prep)
             rows.append({
                 "preprocessing": prep_name, "parser": name,
                 "grouping_acc": round(metrics.grouping_accuracy(ids, pred), 3),
@@ -317,12 +317,11 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, n_sources: int = 8
                 "tpl_per_gt": round(metrics.templates_per_gt(ids, pred), 2),
                 "lines_per_s": int(len(msgs) / dt) if dt > 0 else 0,
             })
-        # distributed Drain (structured flag handled inside; mask via flag)
+        # distributed Drain preprocesses inside its partitions, as prep does
         sdf = spark.createDataFrame(stream[["line_id", "message"]]).repartition(8)
         t0 = time.perf_counter()
-        parsed, mapping = parse_distributed(
-            sdf, st=0.5, structured=(prep_name != "none"),
-            mask=(prep_name == "structured+mask"))
+        parsed, mapping = parse_distributed(sdf, structured=(prep_name != "none"),
+                                            mask=(prep_name == "structured+mask"))
         got = parsed.select("line_id", "cluster_id", "template").toPandas()
         dt = time.perf_counter() - t0
         got = got.set_index("line_id").loc[stream["line_id"]]
@@ -348,7 +347,6 @@ def run_table6(spark: SparkSession, *, n_sessions: int = 400,
     """The §IV JSON study on an API-style source: share of tokens in the
     structured tail, and Drain discovery quality with/without extraction."""
     from repro.parsing import metrics
-    from repro.parsing.distributed import _final_templates
     from repro.parsing.drain import Drain
     from repro.parsing.preprocess import preprocess, structured_token_share
 
@@ -360,10 +358,10 @@ def run_table6(spark: SparkSession, *, n_sessions: int = 400,
     rows = []
     for extract in (False, True):
         prep = (lambda m: preprocess(m, structured=True)) if extract else (lambda m: m)
-        parser = Drain(st=0.5, preprocess=prep)
+        parser = Drain(preprocess=prep)
         res = parser.parse_many(api["message"].tolist())
         pred = [cid for cid, _ in res]
-        eq1 = _eq1_rows(api, _final_templates(parser, pred), prep)
+        eq1 = _eq1_rows(api, [tpl for _, tpl in res], prep)
         rows.append({
             "json_extraction": extract,
             "structured_token_share": round(share, 3),

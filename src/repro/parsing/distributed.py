@@ -50,19 +50,7 @@ from repro.parsing.drain import WILDCARD, Drain, tokenize
 from repro.parsing.preprocess import extract_structured_column, preprocess
 
 
-def _drain(depth: int, st: float, structured: bool, mask: bool) -> Drain:
-    return Drain(depth=depth, st=st,
-                 preprocess=lambda m: preprocess(m, structured=structured, mask=mask))
-
-
-def _final_templates(parser: Drain, ids) -> list[str]:
-    """The template of each id's cluster after the last parse, not the
-    snapshot at parse time, so every member of a cluster gets one text."""
-    final = {c.cluster_id: c.template for c in parser.clusters}
-    return [final[c] for c in ids]
-
-
-def _local_parse_factory(depth: int, st: float, structured: bool, mask: bool):
+def _local_parse_factory(structured: bool, mask: bool):
     """The partition-local Drain step both :func:`learn_templates` and
     :func:`parse_distributed` run: the partition's rows, each with its
     cluster's final ``local_template``."""
@@ -71,21 +59,19 @@ def _local_parse_factory(depth: int, st: float, structured: bool, mask: bool):
         if not parts:  # an empty partition gets no batch
             return
         pdf = pd.concat(parts, ignore_index=True)
-        parser = _drain(depth, st, structured, mask)
-        ids = [cid for cid, _ in parser.parse_many(pdf["message"])]
-        pdf["local_template"] = _final_templates(parser, ids)
+        parser = Drain(preprocess=lambda m: preprocess(m, structured=structured, mask=mask))
+        pdf["local_template"] = [tpl for _, tpl in parser.parse_many(pdf["message"])]
         yield pdf
 
     return local_parse
 
 
-def merge_templates(catalogue: list[str], *, depth: int = 4,
-                    st: float = 0.5) -> tuple[Drain, dict[str, tuple[int, str]]]:
-    """Fold sorted local templates into one global tree, deterministically;
-    returns it and the local template -> (global id, template) mapping."""
-    merger = Drain(depth=depth, st=st)
-    gids = [gid for gid, _ in merger.parse_many(catalogue)]
-    return merger, dict(zip(catalogue, zip(gids, _final_templates(merger, gids))))
+def merge_templates(catalogue: list[str]) -> tuple[Drain, dict[str, tuple[int, str]]]:
+    """Fold sorted local templates into one global tree at Drain's
+    defaults, deterministically; returns it and the local template ->
+    (global id, template) mapping."""
+    merger = Drain()
+    return merger, dict(zip(catalogue, merger.parse_many(catalogue)))
 
 
 def learn_templates(df: DataFrame) -> tuple[Drain, dict[str, tuple[int, str]]]:
@@ -98,7 +84,7 @@ def learn_templates(df: DataFrame) -> tuple[Drain, dict[str, tuple[int, str]]]:
     Partitions by position (files, in-memory frames) are the same for
     every projection; a round-robin ``repartition`` places rows by their
     projected content, so reading ``message`` alone can move rows."""
-    local_parse = _local_parse_factory(depth=4, st=0.5, structured=True, mask=False)
+    local_parse = _local_parse_factory(structured=True, mask=False)
 
     def local_catalogue(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in local_parse(batches):
@@ -109,14 +95,13 @@ def learn_templates(df: DataFrame) -> tuple[Drain, dict[str, tuple[int, str]]]:
     return merge_templates(sorted({r["local_template"] for r in rows}))
 
 
-def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
-                      structured: bool = True,
+def parse_distributed(df: DataFrame, *, structured: bool = True,
                       mask: bool = False) -> tuple[DataFrame, dict[str, tuple[int, str]]]:
     """Parse ``df`` (with at least a ``message`` column) with distributed
-    Drain. Returns ``(parsed_df, mapping)`` where ``parsed_df`` is ``df``
-    row for row plus ``cluster_id``/``template`` columns and ``mapping``
-    is the local template -> (global id, global template) fold. The merge
-    tree uses the same ``st``; it parses template strings, so ``<*>``
+    Drain at its defaults. Returns ``(parsed_df, mapping)`` where
+    ``parsed_df`` is ``df`` row for row plus ``cluster_id``/``template``
+    columns and ``mapping`` is the local template -> (global id, global
+    template) fold. The merge tree parses template strings, so ``<*>``
     tokens in a local template match anything in the global tree.
     """
     # parser output *replaces* any pre-existing cluster_id/template
@@ -126,11 +111,11 @@ def parse_distributed(df: DataFrame, *, depth: int = 4, st: float = 0.5,
                           + [T.StructField("local_template", T.StringType())])
     # eager: the catalogue below and the caller read this one parse; Spark
     # frees the checkpoint once the returned frame is unreachable
-    local = base.mapInPandas(_local_parse_factory(depth, st, structured, mask),
+    local = base.mapInPandas(_local_parse_factory(structured, mask),
                              schema=schema).localCheckpoint()
     catalogue = sorted(r["local_template"] for r in  # deterministic merge order
                        local.select("local_template").distinct().collect())
-    _, mapping = merge_templates(catalogue, depth=depth, st=st)
+    _, mapping = merge_templates(catalogue)
     map_df = df.sparkSession.createDataFrame(
         [(tpl, gid, gtpl) for tpl, (gid, gtpl) in mapping.items()],
         schema="local_template string, cluster_id long, template string",
@@ -305,12 +290,13 @@ def match_fitted(df: DataFrame, b_parser: Broadcast) -> DataFrame:
     return base.mapInArrow(tag, schema=schema)
 
 
-def parse_single_node(df: DataFrame, *, depth: int = 4, st: float = 0.5,
-                      structured: bool = True, mask: bool = False) -> tuple[pd.DataFrame, Drain]:
-    """Reference single-node parse of the same frame (collect + one tree);
-    the baseline T8 compares the distributed variant's throughput against."""
+def parse_single_node(df: DataFrame) -> tuple[pd.DataFrame, Drain]:
+    """Reference single-node parse of the same frame (collect + one tree at
+    Drain's defaults, §IV structured-data extraction): the baseline T8 and
+    perfbench time the distributed variant's throughput against."""
     pdf = df.select("line_id", "message").toPandas()
-    parser = _drain(depth, st, structured, mask)
-    pdf["cluster_id"] = [cid for cid, _ in parser.parse_many(pdf["message"])]
-    pdf["template"] = _final_templates(parser, pdf["cluster_id"])
+    parser = Drain(preprocess=preprocess)
+    parsed = parser.parse_many(pdf["message"])
+    pdf["cluster_id"] = [cid for cid, _ in parsed]
+    pdf["template"] = [tpl for _, tpl in parsed]
     return pdf, parser

@@ -3,8 +3,8 @@
 The paper (§IV) identifies Drain as the most accurate online parser but
 notes two automation limits it plans to study: sensitivity to the
 similarity threshold ``st`` and tree ``depth`` hyper-parameters, and
-dependence on preprocessing. Both are explicit constructor knobs here so
-T5 can sweep them.
+dependence on preprocessing. T5 sweeps ``st`` and the ``preprocess``
+hook; every other caller runs Drain at its published ``depth=4, st=0.5``.
 
 Structure: level 0 groups by token count, levels 1..depth-1 route by the
 first ``depth-1`` tokens (a token containing digits routes to the ``<*>``
@@ -136,7 +136,13 @@ class Drain:
         return cl.cluster_id, cl.template
 
     def parse_many(self, messages: Iterable[str]) -> list[tuple[int, str]]:
-        return [self.parse(m) for m in messages]
+        """:meth:`parse` each message; returns each line's cluster id and
+        the template its cluster holds after the last line, not the
+        snapshot at its own parse, so every member of a cluster gets one
+        text."""
+        ids = [self.parse(m)[0] for m in messages]
+        final = {c: cl.template for c, cl in self._clusters.items()}
+        return [(c, final[c]) for c in ids]
 
     @property
     def clusters(self) -> list[Cluster]:

@@ -4,9 +4,9 @@ ICDM'16) — the second online parser of the paper's §IV benchmark (T5).
 Each discovered *LCSObject* holds a template (token list with ``<*>``
 gaps). A new line first tries an exact prefix-tree lookup, then searches
 the LCS map: it joins the object with the longest LCS whose length is at
-least half the line's token count (the paper's tau threshold, knob
-``tau``); the object's template is refined to the LCS (gaps become
-``<*>``). Otherwise the line founds a new object.
+least half the line's token count (the paper's threshold, :data:`TAU`);
+the object's template is refined to the LCS (gaps become ``<*>``).
+Otherwise the line founds a new object.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import dataclasses
 from typing import Iterable
 
 from repro.parsing.drain import WILDCARD, tokenize
+
+TAU = 0.5  # a line joins an object whose LCS covers this share of its tokens
 
 
 def _lcs(a: list[str], b: list[str]) -> list[str]:
@@ -69,10 +71,7 @@ class LCSObject:
 class Spell:
     """Streaming Spell parser. ``parse(msg)`` -> (cluster_id, template)."""
 
-    def __init__(self, *, tau: float = 0.5, preprocess=None) -> None:
-        if not 0 < tau <= 1:
-            raise ValueError("tau must be in (0, 1]")
-        self.tau = tau
+    def __init__(self, *, preprocess=None) -> None:
         self.preprocess = preprocess
         self._objects: dict[int, LCSObject] = {}
         self._next_id = 0
@@ -93,7 +92,7 @@ class Spell:
             if lcs_len > best_len:
                 best, best_len = obj, lcs_len
 
-        if best is not None and best_len >= self.tau * len(content) and content:
+        if best is not None and best_len >= TAU * len(content) and content:
             base = [t for t in best.tokens if t != WILDCARD]
             lcs = _lcs(base, content)
             best.tokens = _template_from_lcs(lcs, toks)
@@ -105,7 +104,11 @@ class Spell:
         return obj.cluster_id, obj.template
 
     def parse_many(self, messages: Iterable[str]) -> list[tuple[int, str]]:
-        return [self.parse(m) for m in messages]
+        """:meth:`parse` each message; returns each line's cluster id and
+        the template its object holds after the last line."""
+        ids = [self.parse(m)[0] for m in messages]
+        final = {c: cl.template for c, cl in self._objects.items()}
+        return [(c, final[c]) for c in ids]
 
     def n_templates(self) -> int:
         return len(self._objects)

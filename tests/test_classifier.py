@@ -1,13 +1,6 @@
 """Unit tests for the §V passively-trained classifier (classify.classifier)."""
-import pytest
-
 from repro.classify.classifier import AnomalyClassifier, IncrementalNB
 from repro.classify.pools import DEFAULT_POOL, PoolSystem, make_report
-
-
-def test_nb_validation():
-    with pytest.raises(ValueError):
-        IncrementalNB(alpha=0)
 
 
 def test_nb_empty_predicts_default():

@@ -78,6 +78,15 @@ def test_parse_many_matches_parse():
     assert [c for c, _ in many] == [c for c, _ in single]
 
 
+def test_parse_many_returns_final_templates():
+    # the first line is parsed before its cluster generalises
+    d = Drain()
+    many = d.parse_many(["job 1 done", "job 2 done", "other line here now"])
+    final = {c.cluster_id: c.template for c in d.clusters}
+    assert many == [(c, final[c]) for c, _ in many]
+    assert many[0][1] == f"job {WILDCARD} done"
+
+
 def test_cluster_sizes_accumulate():
     d = Drain()
     for i in range(5):

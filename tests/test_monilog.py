@@ -1,6 +1,7 @@
 """Integration tests for the batch MoniLog pipeline (core.monilog)."""
 import os
 
+import numpy as np
 import pytest
 
 from repro.classify.pools import DEFAULT_POOL
@@ -9,6 +10,7 @@ from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import PRED_COLUMNS, score_sessions, session_reports
 from repro.evaluation.labels import prf
+from repro.loggen import instability
 from repro.loggen.generator import StreamSpec, generate
 from repro.parsing.distributed import match_fitted, merge_templates, parse_distributed
 
@@ -115,6 +117,23 @@ def test_reports_follow_event_time_on_shuffled_input(spark, fitted):
     for r in reports:
         assert r.events == expect.at[r.session_id, "template"]
         assert r.levels == expect.at[r.session_id, "level"]
+
+
+def test_fit_independent_of_arrival_order(spark):
+    # a dup line and its shuffled original tie on (session_id, ts, line_id)
+    # but carry different templates; the second arrival order swaps each tie
+    train, counts = instability.inject(
+        generate(StreamSpec(n_sessions=200, n_sources=2, seed=74)), 0.2,
+        kinds=("dup", "shuffle"), seed=6)
+    assert counts["dup"] > 0 and counts["shuffle"] > 0
+    swapped = (train.assign(row=-np.arange(len(train)))
+               .sort_values(["arrival_ts", "line_id", "row"]).drop(columns="row"))
+    assert not swapped["message"].reset_index(drop=True).equals(train["message"])
+    a, b = (MoniLog(spark).fit(spark.createDataFrame(pdf)) for pdf in (train, swapped))
+    assert ([c.template for c in a.parser.clusters]
+            == [c.template for c in b.parser.clusters])
+    assert a.seq_model._top == b.seq_model._top and a.seq_model.vocab == b.seq_model.vocab
+    assert a.quant_model._slots == b.quant_model._slots
 
 
 def _by_session(preds):

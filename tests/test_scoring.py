@@ -15,7 +15,9 @@ from repro.detect.sequences import session_sequences
 from repro.evaluation.tables import template_map
 from repro.loggen import instability
 from repro.loggen.generator import StreamSpec, generate
-from repro.parsing.distributed import _drain, _final_templates, merge_templates, tag_lines
+from repro.parsing.distributed import merge_templates, tag_lines
+from repro.parsing.drain import Drain
+from repro.parsing.preprocess import preprocess
 from repro.streaming.pipeline import STRUCTURED_SCHEMA
 
 
@@ -157,9 +159,8 @@ def unstable():
     """Models fitted on a clean stream, and instability-injected lines
     tagged against the same tree, as one Arrow table in arrival order."""
     train = generate(StreamSpec(n_sessions=300, n_sources=8, seed=90))
-    local = _drain(4, 0.5, True, False)
-    ids = [cid for cid, _ in local.parse_many(train["message"])]
-    tree, _ = merge_templates(sorted(set(_final_templates(local, ids))))
+    local = Drain(preprocess=preprocess).parse_many(train["message"])
+    tree, _ = merge_templates(sorted({tpl for _, tpl in local}))
     templates, variables = tag_lines(pa.array(train["message"]), tree)
     fitted = (train.assign(template=templates.to_pylist(), variables=variables.to_pylist())
               .sort_values(["session_id", "ts", "line_id"]))

@@ -27,13 +27,6 @@ def test_template_from_lcs_collapses_adjacent_gaps():
     assert _template_from_lcs(["a", "b"], toks) == ["a", WILDCARD, "b"]
 
 
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        Spell(tau=0.0)
-    with pytest.raises(ValueError):
-        Spell(tau=1.2)
-
-
 def test_same_shape_messages_merge():
     s = Spell()
     c1, _ = s.parse("Sending 138 bytes src: a dest: b")
@@ -62,6 +55,15 @@ def test_parse_many_and_sizes():
     s.parse_many([f"tick {i}" for i in range(10)])
     assert s.n_templates() == 1
     assert s.clusters[0].size == 10
+
+
+def test_parse_many_returns_final_templates():
+    # the first line is parsed before its object's template is refined
+    s = Spell()
+    many = s.parse_many(["job 1 finished ok", "job 2 finished ok", "alpha beta gamma"])
+    final = {c.cluster_id: c.template for c in s.clusters}
+    assert many == [(c, final[c]) for c, _ in many]
+    assert many[0][1] == f"job {WILDCARD} finished ok"
 
 
 def test_preprocess_hook():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.loggen import instability
 from repro.loggen.generator import StreamSpec, generate
-from repro.parsing.distributed import _drain, _final_templates, merge_templates, tag_lines
+from repro.parsing.distributed import merge_templates, tag_lines
 from repro.parsing.drain import Drain, extract_variables, tokenize
 from repro.parsing.preprocess import preprocess
 
@@ -35,9 +35,8 @@ def _assert_tags_as_reference(messages, tree):
 def fitted_tree():
     """The tree ``MoniLog.fit`` learns from one partition of a clean stream."""
     train = generate(StreamSpec(n_sessions=300, n_sources=8, seed=80))
-    local = _drain(4, 0.5, True, False)
-    ids = [cid for cid, _ in local.parse_many(train["message"])]
-    tree, _ = merge_templates(sorted(set(_final_templates(local, ids))), depth=4, st=0.5)
+    local = Drain(preprocess=preprocess).parse_many(train["message"])
+    tree, _ = merge_templates(sorted({tpl for _, tpl in local}))
     return tree
 
 
