@@ -20,41 +20,35 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+WINDOW = "30 seconds"  # T3's tumbling event-time window
 
-def session_sequences(df: DataFrame, *, id_col: str = "session_id",
-                      event_col: str = "event_id",
-                      order_cols: tuple[str, ...] = ("ts", "line_id")) -> DataFrame:
+
+def _ordered_events(df: DataFrame, key: Column) -> DataFrame:
+    """``(key, events, label)`` per group of ``key``: the group's event ids
+    ordered by event time then line id (stable under the §I mixed-arrival
+    noise: event time, not arrival time, defines the flow), and 1 iff any
+    of its lines belongs to an anomalous session."""
+    return (df.groupBy(key.alias("key"))
+              .agg(F.sort_array(F.collect_list(F.struct("ts", "line_id", "event_id"))).alias("_s"),
+                   F.max(F.col("is_anomaly").cast("int")).alias("label"))
+              .select("key", F.col("_s.event_id").alias("events"), "label"))
+
+
+def session_sequences(df: DataFrame) -> DataFrame:
     """Per-session event sequence: ``(session_id, events: array<string>,
-    label)``. Ordered by event time then line id (stable under the §I
-    mixed-arrival noise: event time, not arrival time, defines the flow).
-    """
-    struct_cols = [F.col(c) for c in order_cols] + [F.col(event_col)]
-    agg = (df.groupBy(id_col)
-             .agg(F.sort_array(F.collect_list(F.struct(*struct_cols))).alias("_s"),
-                  F.max(F.col("is_anomaly").cast("int")).alias("label"))
-             .select(F.col(id_col).alias("session_id"),
-                     F.col(f"_s.{event_col}").alias("events"),
-                     "label"))
-    return agg
+    label)``."""
+    return _ordered_events(df, F.col("session_id")).withColumnRenamed("key", "session_id")
 
 
-def time_window_sequences(df: DataFrame, *, window: str = "30 seconds",
-                          event_col: str = "event_id") -> DataFrame:
-    """Tumbling event-time windows over the whole multi-source stream:
-    ``(session_id = window start, events, label)``; a window is anomalous
-    iff it contains a line of an anomalous session."""
-    w = F.window(F.col("ts"), window)
-    agg = (df.groupBy(w.alias("w"))
-             .agg(F.sort_array(F.collect_list(
-                      F.struct(F.col("ts"), F.col("line_id"), F.col(event_col)))).alias("_s"),
-                  F.max(F.col("is_anomaly").cast("int")).alias("label"))
-             .select(F.col("w.start").cast("string").alias("session_id"),
-                     F.col(f"_s.{event_col}").alias("events"),
-                     "label"))
-    return agg
+def time_window_sequences(df: DataFrame) -> DataFrame:
+    """:data:`WINDOW` tumbling event-time windows over the whole
+    multi-source stream: ``(session_id = window start, events, label)``;
+    a window is anomalous iff it contains a line of an anomalous session."""
+    return _ordered_events(df, F.window("ts", WINDOW)).select(
+        F.col("key.start").cast("string").alias("session_id"), "events", "label")
 
 
 def count_matrix(seq_pdf: pd.DataFrame, vocab: list[str] | None = None

@@ -25,6 +25,9 @@ import pandas as pd
 from repro.loggen import templates as T
 
 BASE_TS = pd.Timestamp("2020-03-19 15:38:55")  # Fig. 2's clock
+MEAN_GAP_S = 0.8  # mean inter-event gap inside a session
+# normal sessions with a benign retry (rare-but-normal flow, FP pressure)
+BENIGN_REPEAT_RATE = 0.03
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,22 +39,18 @@ class StreamSpec:
     anomaly_rate: float = 0.0       # fraction of sessions that are anomalous
     quant_share: float = 0.4        # of anomalous sessions, share quantitative
     seed: int = 0
-    mean_gap_s: float = 0.8         # mean inter-event gap inside a session
     session_spread_s: float = 600.0  # session start times span
     jitter_s: float = 0.0           # per-line arrival jitter (out-of-order)
-    dup_rate: float = 0.0           # fraction of lines duplicated (§I noise)
-    benign_repeat_rate: float = 0.03  # normal sessions with a benign retry
-                                      # (rare-but-normal flow, FP pressure)
 
 
 def _session_events(profile: T.SourceProfile, g: np.random.Generator,
-                    anomaly: str, benign_repeat_rate: float) -> list[tuple[str, bool]]:
+                    anomaly: str) -> list[tuple[str, bool]]:
     """Event-id list for one session; bool marks the quant-anomalous line."""
     flow = profile.normal_flows[int(g.integers(0, len(profile.normal_flows)))]
     events: list[str] = []
     for tid, rep in flow:
         events.extend([tid] * int(rep))
-    if not anomaly and g.random() < benign_repeat_rate and len(events) > 1:
+    if not anomaly and g.random() < BENIGN_REPEAT_RATE and len(events) > 1:
         # benign retry: one mid-flow event repeats — rare but normal, the
         # pattern a detector trained on too few sessions false-alarms on
         pos = int(g.integers(1, len(events)))
@@ -106,7 +105,7 @@ def generate(spec: StreamSpec) -> pd.DataFrame:
             anomaly = "quant" if g.random() < spec.quant_share else "seq"
         else:
             anomaly = ""
-        events = _session_events(profile, g, anomaly, spec.benign_repeat_rate)
+        events = _session_events(profile, g, anomaly)
         start = float(g.random() * spec.session_spread_s)
         t = start
         session_id = f"{profile.name}-s{sid:06d}"
@@ -115,7 +114,7 @@ def generate(spec: StreamSpec) -> pd.DataFrame:
             values = [T.sample_value(kind, g, quant_anomaly=(qflag and i == tpl.quant_slot))
                       for i, kind in enumerate(tpl.slots)]
             msg = T.render(tpl, values, g)
-            t += float(g.exponential(spec.mean_gap_s))
+            t += float(g.exponential(MEAN_GAP_S))
             arrival = t + (float(g.normal(0, spec.jitter_s)) if spec.jitter_s else 0.0)
             rows.append(dict(
                 ts=BASE_TS + pd.to_timedelta(t, unit="s"),
@@ -127,12 +126,6 @@ def generate(spec: StreamSpec) -> pd.DataFrame:
                 quant_line=bool(qflag),
             ))
     pdf = pd.DataFrame(rows)
-    if spec.dup_rate > 0 and len(pdf):
-        n_dup = int(len(pdf) * spec.dup_rate)
-        dup = pdf.iloc[g.choice(len(pdf), size=n_dup, replace=False)].copy()
-        dup["arrival_ts"] = dup["arrival_ts"] + pd.to_timedelta(
-            g.random(len(dup)) * 0.2, unit="s")
-        pdf = pd.concat([pdf, dup], ignore_index=True)
     pdf = pdf.sort_values("arrival_ts", kind="stable").reset_index(drop=True)
     pdf.insert(0, "line_id", np.arange(len(pdf), dtype=np.int64))
     # microsecond precision so Spark's Arrow path accepts the timestamps

@@ -25,6 +25,7 @@ import numpy as np
 import pandas as pd
 
 KINDS = ("parse_error", "twist", "dup", "shuffle")
+SPLITS = 3  # bogus ids sequence_parse_noise splits one event id into
 
 _TWIST_WORDS = {"block": "chunk", "bytes": "octets", "Sending": "Dispatching",
                 "started": "launched", "completed": "finished", "error": "fault",
@@ -102,14 +103,14 @@ def inject(pdf: pd.DataFrame, ratio: float, *, kinds: tuple[str, ...] = KINDS,
 
 
 def sequence_parse_noise(sequences: dict[str, list[str]], rate: float,
-                         *, vocab_spread: int = 3, seed: int = 11) -> dict[str, list[str]]:
+                         *, seed: int = 11) -> dict[str, list[str]]:
     """§III experiment 2 noise model applied *after* parsing: each event id
-    is, with probability ``rate``, replaced by one of ``vocab_spread``
+    is, with probability ``rate``, replaced by one of :data:`SPLITS`
     bogus split ids derived from it — exactly what an erroneous parser
     does (one true template seen as several spurious ones)."""
     g = np.random.default_rng(seed)
     out: dict[str, list[str]] = {}
     for sid, seq in sequences.items():
-        out[sid] = [f"{e}#pe{int(g.integers(0, vocab_spread))}" if g.random() < rate else e
+        out[sid] = [f"{e}#pe{int(g.integers(0, SPLITS))}" if g.random() < rate else e
                     for e in seq]
     return out

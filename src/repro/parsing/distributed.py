@@ -35,7 +35,7 @@ or inside ``MoniLog.detect``'s fused tag-and-score pass.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -50,16 +50,17 @@ from repro.parsing.drain import WILDCARD, Drain, tokenize
 from repro.parsing.preprocess import extract_structured_column, preprocess
 
 
-def _local_parse_factory(structured: bool, mask: bool):
+def _local_parse_factory(prep: Callable[[str], str]):
     """The partition-local Drain step both :func:`learn_templates` and
-    :func:`parse_distributed` run: the partition's rows, each with its
-    cluster's final ``local_template``."""
+    :func:`parse_distributed` run, with ``prep`` as Drain's ``preprocess``
+    hook: the partition's rows, each with its cluster's final
+    ``local_template``."""
     def local_parse(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         parts = list(batches)
         if not parts:  # an empty partition gets no batch
             return
         pdf = pd.concat(parts, ignore_index=True)
-        parser = Drain(preprocess=lambda m: preprocess(m, structured=structured, mask=mask))
+        parser = Drain(preprocess=prep)
         pdf["local_template"] = [tpl for _, tpl in parser.parse_many(pdf["message"])]
         yield pdf
 
@@ -84,7 +85,7 @@ def learn_templates(df: DataFrame) -> tuple[Drain, dict[str, tuple[int, str]]]:
     Partitions by position (files, in-memory frames) are the same for
     every projection; a round-robin ``repartition`` places rows by their
     projected content, so reading ``message`` alone can move rows."""
-    local_parse = _local_parse_factory(structured=True, mask=False)
+    local_parse = _local_parse_factory(preprocess)
 
     def local_catalogue(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in local_parse(batches):
@@ -95,14 +96,16 @@ def learn_templates(df: DataFrame) -> tuple[Drain, dict[str, tuple[int, str]]]:
     return merge_templates(sorted({r["local_template"] for r in rows}))
 
 
-def parse_distributed(df: DataFrame, *, structured: bool = True,
-                      mask: bool = False) -> tuple[DataFrame, dict[str, tuple[int, str]]]:
+def parse_distributed(df: DataFrame, *, preprocess: Callable[[str], str] = preprocess
+                      ) -> tuple[DataFrame, dict[str, tuple[int, str]]]:
     """Parse ``df`` (with at least a ``message`` column) with distributed
-    Drain at its defaults. Returns ``(parsed_df, mapping)`` where
-    ``parsed_df`` is ``df`` row for row plus ``cluster_id``/``template``
-    columns and ``mapping`` is the local template -> (global id, global
-    template) fold. The merge tree parses template strings, so ``<*>``
-    tokens in a local template match anything in the global tree.
+    Drain at its defaults, with ``preprocess`` as every partition's Drain
+    hook (default: §IV structured-data extraction). Returns
+    ``(parsed_df, mapping)`` where ``parsed_df`` is ``df`` row for row plus
+    ``cluster_id``/``template`` columns and ``mapping`` is the local
+    template -> (global id, global template) fold. The merge tree parses
+    template strings, so ``<*>`` tokens in a local template match
+    anything in the global tree.
     """
     # parser output *replaces* any pre-existing cluster_id/template
     # column (e.g. the generator's ground-truth template column)
@@ -111,7 +114,7 @@ def parse_distributed(df: DataFrame, *, structured: bool = True,
                           + [T.StructField("local_template", T.StringType())])
     # eager: the catalogue below and the caller read this one parse; Spark
     # frees the checkpoint once the returned frame is unreachable
-    local = base.mapInPandas(_local_parse_factory(structured, mask),
+    local = base.mapInPandas(_local_parse_factory(preprocess),
                              schema=schema).localCheckpoint()
     catalogue = sorted(r["local_template"] for r in  # deterministic merge order
                        local.select("local_template").distinct().collect())

@@ -6,6 +6,7 @@ from repro.loggen.generator import StreamSpec, generate
 from repro.parsing import distributed, metrics
 from repro.parsing.distributed import (learn_templates, merge_templates, parse_distributed,
                                        parse_single_node)
+from repro.parsing.preprocess import preprocess
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +91,7 @@ def test_gt_template_column_replaced(spark, stream):
 
 def test_mask_option_runs(spark, stream):
     sdf = spark.createDataFrame(stream[["line_id", "message"]]).repartition(4)
-    out, mapping = parse_distributed(sdf, mask=True)
+    out, mapping = parse_distributed(sdf, preprocess=lambda m: preprocess(m, mask=True))
     assert out.count() == len(stream)
 
 

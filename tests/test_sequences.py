@@ -70,12 +70,21 @@ def test_session_sequences_label_is_any(spark, sdf, stream):
 
 
 def test_time_window_sequences_cover_all_lines(spark, sdf, stream):
-    seq = time_window_sequences(sdf, window="30 seconds").toPandas()
+    seq = time_window_sequences(sdf).toPandas()
     assert sum(len(e) for e in seq["events"]) == len(stream)
 
 
+def test_time_window_sequences_event_time_order(spark, sdf, stream):
+    # each window's events follow event time, then line id, not arrival
+    seq = time_window_sequences(sdf).toPandas()
+    ordered = stream.sort_values(["ts", "line_id"])
+    start = ordered["ts"].dt.floor("30s").dt.strftime("%Y-%m-%d %H:%M:%S")
+    expect = ordered.groupby(start)["event_id"].apply(list)
+    assert {r.session_id: list(r.events) for r in seq.itertuples()} == expect.to_dict()
+
+
 def test_time_window_label_propagation(spark, sdf, stream):
-    seq = time_window_sequences(sdf, window="30 seconds").toPandas()
+    seq = time_window_sequences(sdf).toPandas()
     # at least one anomalous window must exist given 10% anomalous sessions
     assert seq["label"].sum() >= 1
 

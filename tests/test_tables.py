@@ -58,8 +58,7 @@ def test_table2_parse_noise_hurts_deeplog_most(t2):
 
 @pytest.fixture(scope="module")
 def t3(spark):
-    return T.run_table3(spark, n_train=600, n_test=300,
-                        source_counts=(1, 8), seed=902)
+    return T.run_table3(spark, n_train=600, n_test=300, seed=902)
 
 
 def test_table3_shape(t3):
