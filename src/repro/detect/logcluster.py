@@ -50,9 +50,6 @@ class LogClusterDetector:
                 self._sizes.append(1)
         return self
 
-    def n_clusters(self) -> int:
-        return len(self.centroids)
-
     def scores(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
         for r, x in enumerate(X * self._idf):

@@ -86,10 +86,6 @@ class NGramDetector:
             cands = self._top_g(tuple(padded[i - self.h:i]))
             yield cands is None or nxt not in cands
 
-    def window_flags(self, seq: Sequence[str]) -> list[bool]:
-        """Per-position anomaly flags (True = next event not in top-g)."""
-        return list(self._flags(seq))
-
     def is_anomalous(self, seq: Sequence[str]) -> bool:
         """DeepLog's session rule: anomalous iff any window is flagged; it
         stops at the first flagged window."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from collections import defaultdict
 from typing import Iterable, Sequence
 
@@ -28,17 +29,21 @@ import pyarrow.compute as pc
 _EPS = 1e-9
 
 
-# the decimals Arrow's float64 cast reads as float() does; others go through _numeric
+# a number is a decimal in this syntax: RE2 (Arrow) and Python's re read it
+# alike, and Arrow's float64 cast gives what float() gives
 _DECIMAL = r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$"
+_DECIMAL_RE = re.compile(_DECIMAL)
 
 
 def _numeric(v: str) -> float | None:
-    """``v`` as a finite float, else None: a "nan" or "inf" token is not a
-    value, so it can neither train a slot model nor be out of range."""
-    try:
-        x = float(v)
-    except (TypeError, ValueError):
+    """``v`` as a finite float if it is a :data:`_DECIMAL`, else None: a
+    "nan" or "inf" token is not a value, so it can neither train a slot
+    model nor be out of range. The per-value reference of
+    :func:`_numeric_column`."""
+    # fullmatch: Python's $ also matches before a final newline, RE2's not
+    if v is None or _DECIMAL_RE.fullmatch(v) is None:
         return None
+    x = float(v)
     return x if math.isfinite(x) else None
 
 
@@ -50,10 +55,6 @@ def _numeric_column(values: pa.Array) -> np.ndarray:
     if decimal.any():
         x[decimal] = pc.cast(values.filter(pa.array(decimal)), pa.float64()).to_numpy()
         x[~np.isfinite(x)] = np.nan
-    other = ~decimal
-    if other.any():  # underscores, "nan"/"inf" words, non-ASCII digits, ...
-        x[other] = [np.nan if y is None else y for y in
-                    map(_numeric, values.filter(pa.array(other)).to_pylist())]
     return x
 
 
@@ -138,7 +139,3 @@ class ValueRangeDetector:
 
     def session_flag(self, lines: Iterable[tuple[str, Sequence[str]]]) -> bool:
         return any(self.line_flag(e, v) for e, v in lines)
-
-    def n_models(self) -> int:
-        return sum(map(len, self._slots.values()))
-

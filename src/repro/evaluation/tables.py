@@ -5,11 +5,12 @@ runner here executes one of the experiments it *plans* (§III bullets, the
 §IV parser benchmark with Eq. 1, the §V feedback-trained classifier) and
 returns a pandas frame shaped like the table EXPERIMENTS.md records.
 
-T1, T2 and T4 share one §III suite (:func:`_suite`, :func:`_fit_suite`):
-a clean training stream, a test stream at :data:`ANOMALY_RATE` and a
-50%-anomalous supervised stream, with DeepLog (n-gram) and LogAnomaly
-trained anomaly-free and LogRobust supervised. T1, T3 and T4 fit the
-counter family (PCA, IM, LogClustering) through :func:`_fit_counters`.
+T1, T2 and T4 share one §III suite: a clean training stream
+(:func:`_train_suite`), a test stream at :data:`ANOMALY_RATE` and a
+50%-anomalous supervised stream (:func:`_test_suite`), with DeepLog
+(n-gram) and LogAnomaly trained anomaly-free and LogRobust supervised
+(:func:`_fit_text_models`). T1, T3 and T4 fit the counter family (PCA,
+IM, LogClustering) through :func:`_fit_counters`.
 
 Sizing: every runner but T8 takes explicit stream sizes so unit tests run
 them small (seconds) and benchmarks run them at the documented scale; T8
@@ -49,7 +50,7 @@ from repro.loggen.generator import StreamSpec, generate
 from repro.parsing import metrics
 from repro.parsing.distributed import parse_distributed, parse_single_node
 from repro.parsing.drain import Drain
-from repro.parsing.preprocess import preprocess, structured_token_share
+from repro.parsing.preprocess import mask_variables, preprocess, structured_token_share
 from repro.parsing.spell import Spell
 from repro.streaming.pipeline import StreamingMoniLog, write_stream_files
 
@@ -109,25 +110,33 @@ def _eq1_rows(frame: pd.DataFrame, templates: list[str], prep) -> list[tuple]:
                                                  value_rows(frame), strict=True)]
 
 
-def _suite(spark: SparkSession, *, n_train: int, n_test: int, n_sup: int, seed: int,
-           quant_share: float = 0.0) -> tuple[list[pd.DataFrame], list[pd.DataFrame]]:
-    """The §III streams: a clean training stream, a test stream at
-    :data:`ANOMALY_RATE` and a 50%-anomalous supervised stream (seeds
-    ``seed``, ``seed + 1`` and ``seed + 2``). Returns the generated streams
-    and their Spark sessionizations, in that order."""
-    streams = [generate(StreamSpec(n_sessions=n_train, anomaly_rate=0.0, seed=seed)),
-               generate(StreamSpec(n_sessions=n_test, anomaly_rate=ANOMALY_RATE,
+def _train_suite(spark: SparkSession, *, n_train: int,
+                 seed: int) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """The §III clean training stream (seed ``seed``) and its Spark
+    sessionization. The generator draws ``quant_share`` only for anomalous
+    sessions, so one training stream serves every protocol."""
+    train = generate(StreamSpec(n_sessions=n_train, anomaly_rate=0.0, seed=seed))
+    return train, structure(spark, train)
+
+
+def _test_suite(spark: SparkSession, *, n_test: int, n_sup: int, seed: int,
+                quant_share: float = 0.0) -> tuple[list[pd.DataFrame], list[pd.DataFrame]]:
+    """The §III test stream at :data:`ANOMALY_RATE` and 50%-anomalous
+    supervised stream (seeds ``seed + 1`` and ``seed + 2``) that go with
+    :func:`_train_suite`'s. Returns the generated streams and their Spark
+    sessionizations, in that order."""
+    streams = [generate(StreamSpec(n_sessions=n_test, anomaly_rate=ANOMALY_RATE,
                                    quant_share=quant_share, seed=seed + 1)),
                generate(StreamSpec(n_sessions=n_sup, anomaly_rate=0.5,
                                    quant_share=quant_share, seed=seed + 2))]
     return streams, [structure(spark, s) for s in streams]
 
 
-def _fit_suite(strain: pd.DataFrame, ssup: pd.DataFrame, tmap: dict[str, str]):
-    """DeepLog (n-gram) and LogAnomaly trained anomaly-free on ``strain``,
-    and LogRobust trained supervised on ``ssup``."""
-    return (NGramDetector().fit(strain["events"]),
-            LogAnomalyDetector().fit(list(strain["events"]), tmap),
+def _fit_text_models(strain: pd.DataFrame, ssup: pd.DataFrame, tmap: dict[str, str]):
+    """The two §III models that read template text through ``tmap``:
+    LogAnomaly trained anomaly-free on ``strain``, and LogRobust trained
+    supervised on ``ssup``."""
+    return (LogAnomalyDetector().fit(list(strain["events"]), tmap),
             SemanticDetector().fit(_texts(ssup["events"], tmap), ssup["label"].tolist()))
 
 
@@ -153,18 +162,23 @@ def run_table1(spark: SparkSession, *, n_train: int = 1500, n_test: int = 600,
     """P/R/F1 of every §III approach, trained anomaly-free (except the
     supervised LogRobust rows), under two protocols: sequential-only
     anomalies (the cited HDFS-style protocol) and the paper's full
-    sequential+quantitative mix."""
+    sequential+quantitative mix. Both protocols share one training stream,
+    so the models trained on it alone are fitted once; LogAnomaly and the
+    supervised LogRobust read the protocol's test and supervised templates."""
+    train, strain = _train_suite(spark, n_train=n_train, seed=seed)
+    ng = NGramDetector().fit(strain["events"])
+    quant = ValueRangeDetector().fit(value_rows(train))
+    sem_free = SemanticDetector().fit(_texts(strain["events"], template_map(train)),
+                                      strain["label"].tolist())
+    counters = _fit_counters(strain)
     rows = []
     for protocol, quant_share in (("sequential", 0.0), ("seq+quant", 0.4)):
-        (train, test, sup), (strain, stest, ssup) = _suite(
-            spark, n_train=n_train, n_test=n_test, n_sup=n_sup, seed=seed,
-            quant_share=quant_share)
+        (test, sup), (stest, ssup) = _test_suite(spark, n_test=n_test, n_sup=n_sup,
+                                                 seed=seed, quant_share=quant_share)
         tmap = template_map(train, test, sup)
-        ng, la, sem = _fit_suite(strain, ssup, tmap)
-        core = score_sessions(_gt_lines(test), ng, ValueRangeDetector().fit(value_rows(train)))
+        la, sem = _fit_text_models(strain, ssup, tmap)
+        core = score_sessions(_gt_lines(test), ng, quant)
         tseq = _texts(stest["events"], tmap)
-        sem_free = SemanticDetector().fit(_texts(strain["events"], tmap),
-                                          strain["label"].tolist())
         preds = {
             ("DeepLog-seq (n-gram)", "anomaly-free"): ng.predict(stest["events"]),
             ("MoniLog core (seq+quant)", "anomaly-free"):
@@ -172,7 +186,7 @@ def run_table1(spark: SparkSession, *, n_train: int = 1500, n_test: int = 600,
             ("LogAnomaly", "anomaly-free"): la.predict(stest["events"], tmap),
             ("LogRobust (semantic)", "supervised 50%"): sem.predict(tseq),
             ("LogRobust (semantic)", "anomaly-free"): sem_free.predict(tseq),
-            **{(name, "anomaly-free"): p for name, p in _fit_counters(strain)(stest).items()},
+            **{(name, "anomaly-free"): p for name, p in counters(stest).items()},
         }
         rows += [{"protocol": protocol, "model": model, "training": training,
                   **prf(stest["label"], p).row()} for (model, training), p in preds.items()]
@@ -186,10 +200,11 @@ def run_table2(spark: SparkSession, *, n_train: int = 1500, n_test: int = 600,
                seed: int = 200) -> pd.DataFrame:
     """F1 of the sequence detectors vs the rate of parser-splitting errors
     injected into *test* event ids (one true template seen as several)."""
-    (train, test, sup), (strain, stest, ssup) = _suite(
-        spark, n_train=n_train, n_test=n_test, n_sup=n_sup, seed=seed)
+    train, strain = _train_suite(spark, n_train=n_train, seed=seed)
+    (test, sup), (stest, ssup) = _test_suite(spark, n_test=n_test, n_sup=n_sup, seed=seed)
     tmap = template_map(train, test, sup)
-    ng, la, sem = _fit_suite(strain, ssup, tmap)
+    ng = NGramDetector().fit(strain["events"])
+    la, sem = _fit_text_models(strain, ssup, tmap)
 
     rows = []
     for rate in rates:
@@ -247,10 +262,11 @@ def run_table4(spark: SparkSession, *, n_train: int = 1500, n_test: int = 600,
                seed: int = 400) -> pd.DataFrame:
     """F1 vs proportion of unstable log events (twisted statements,
     parse errors, duplicates, shuffles) injected into the test stream."""
-    (train, test, sup), (strain, _, ssup) = _suite(
-        spark, n_train=n_train, n_test=n_test, n_sup=n_sup, seed=seed)
+    train, strain = _train_suite(spark, n_train=n_train, seed=seed)
+    (test, sup), (_, ssup) = _test_suite(spark, n_test=n_test, n_sup=n_sup, seed=seed)
     tmap_train = template_map(train, sup)  # the altered test templates stay unseen
-    ng, la, sem = _fit_suite(strain, ssup, tmap_train)
+    ng = NGramDetector().fit(strain["events"])
+    la, sem = _fit_text_models(strain, ssup, tmap_train)
     counters = _fit_counters(strain)
 
     rows = []
@@ -294,8 +310,8 @@ def run_table5(spark: SparkSession, *, n_sessions: int = 600, seed: int = 500,
                                  anomaly_rate=0.02, seed=seed))
     preps = {
         "none": lambda m: m,
-        "structured": lambda m: preprocess(m, structured=True),
-        "structured+mask": lambda m: preprocess(m, structured=True, mask=True),
+        "structured": preprocess,
+        "structured+mask": lambda m: mask_variables(preprocess(m)),
     }
     rows = []
     for prep_name, prep in preps.items():
@@ -340,7 +356,7 @@ def run_table6(spark: SparkSession, *, n_sessions: int = 400,
     share = structured_token_share(api["message"].tolist())
     rows = []
     for extract in (False, True):
-        prep = (lambda m: preprocess(m, structured=True)) if extract else (lambda m: m)
+        prep = preprocess if extract else (lambda m: m)
         parser = Drain(preprocess=prep)
         res = parser.parse_many(api["message"].tolist())
         pred = [cid for cid, _ in res]

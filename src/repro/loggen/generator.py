@@ -132,12 +132,3 @@ def generate(spec: StreamSpec) -> pd.DataFrame:
     pdf["ts"] = pdf["ts"].astype("datetime64[us]")
     pdf["arrival_ts"] = pdf["arrival_ts"].astype("datetime64[us]")
     return pdf
-
-
-def raw_line(row: pd.Series) -> str:
-    """Format a stream row as the raw logline of Fig. 2:
-    ``2020-03-19 15:38:55,977 - serviceManager - INFO - <message>``."""
-    ts = pd.Timestamp(row["ts"])
-    stamp = ts.strftime("%Y-%m-%d %H:%M:%S") + f",{ts.microsecond // 1000:03d}"
-    return f"{stamp} - {row['source']} - {row['level']} - {row['message']}"
-

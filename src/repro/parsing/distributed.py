@@ -46,7 +46,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.parsing.drain import WILDCARD, Drain, tokenize
+from repro.parsing.drain import DIGIT, WILDCARD, Drain
 from repro.parsing.preprocess import extract_structured_column, preprocess
 
 
@@ -143,23 +143,23 @@ def _lines_with(messages: pa.Array, byte_test) -> np.ndarray:
     return found
 
 
-def _tag_each(messages: list[str], tree: Drain) -> tuple[list[str], list[list[str]]]:
-    """The per-line reference: preprocess, tokenize and match each line on
-    its own; a hit's variables are its tokens at the cluster's ``<*>``s."""
-    templates, variables = [], []
-    for message in messages:
-        toks = tokenize(preprocess(message))
-        hit = tree.match_tokens(toks)
-        templates.append(" ".join(toks) if hit is None else hit.template)
-        variables.append([] if hit is None else
-                         [t for t, c in zip(toks, hit.tokens) if c == WILDCARD])
-    return templates, variables
+def tag_lines(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
+    """Tag each of ``messages`` against the unchanging global tree: it is
+    preprocessed (with §IV structured-data extraction), tokenized and
+    matched; a hit's variables are its tokens at the cluster's ``<*>``
+    positions (what :func:`~repro.parsing.drain.extract_variables`
+    gives). A miss keeps its own tokens, as a new Drain cluster's first
+    line would, and has no variables. Returns the ``template`` (string)
+    and ``variables`` (list of string) arrays, one entry per message.
 
-
-def _tag_column(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
-    """:func:`_tag_each` of printable-ASCII ``messages``, column-wise: one
-    tokenization of the whole column, one tree walk per distinct routing
-    key, and one similarity matrix per key over the lines' token codes."""
+    The column is tagged as a whole: one tokenization, one tree walk per
+    distinct routing key, and one similarity matrix per key over the
+    lines' token codes. Tokens, digits and the §IV tails are defined
+    byte-wise, so this equals ``Drain.match_only`` line by line for every
+    UTF-8 message. A null message is an error."""
+    if messages.null_count:
+        raise ValueError(f"{messages.null_count} of {len(messages)} log lines have no message")
+    messages = messages.cast(pa.string())  # _lines_with reads 32-bit offsets
     n_lines = len(messages)
     tails = _lines_with(messages, lambda b: (b == ord("{")) | (b == ord("<")))
     if tails.any():  # §IV structured tails need an opening brace or bracket
@@ -185,7 +185,7 @@ def _tag_column(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
     code_of[WILDCARD] = _WILD
 
     # routing key: the token count, then the first depth-2 tokens (digits: <*>)
-    digit = pc.match_substring_regex(vocab, "[0-9]").to_numpy(zero_copy_only=False)
+    digit = pc.match_substring_regex(vocab, DIGIT).to_numpy(zero_copy_only=False)
     route = np.full((n_lines, tree.depth - 1), -1, np.int64)
     route[:, 0] = counts
     group = counts
@@ -243,35 +243,6 @@ def _tag_column(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
         templates = pc.replace_with_mask(templates, miss,
                                          pc.binary_join(lists.filter(miss), " "))
     return templates, variables
-
-
-def tag_lines(messages: pa.Array, tree: Drain) -> tuple[pa.Array, pa.Array]:
-    """Tag each of ``messages`` against the unchanging global tree: it is
-    preprocessed (with §IV structured-data extraction), tokenized and
-    matched; a hit's variables are its tokens at the cluster's ``<*>``
-    positions (what :func:`~repro.parsing.drain.extract_variables`
-    gives). A miss keeps its own tokens, as a new Drain cluster's first
-    line would, and has no variables. Returns the ``template`` (string)
-    and ``variables`` (list of string) arrays, one entry per message.
-
-    Printable-ASCII lines are tagged column-wise (:func:`_tag_column`);
-    any other line goes through the per-line reference
-    ``Drain.match_tokens``, which gives the same result by definition."""
-    messages = messages.cast(pa.string())  # _lines_with reads 32-bit offsets
-    # within printable ASCII, str.strip/split(" ")/isdigit and Arrow's
-    # byte-wise split and [0-9] agree, so the column kernel is exact there
-    exact = ~_lines_with(messages, lambda b: (b < 0x20) | (b > 0x7e))
-    if messages.null_count:
-        exact &= messages.is_valid().to_numpy(zero_copy_only=False)
-    if exact.all():
-        return _tag_column(messages, tree)
-    inside, outside = np.flatnonzero(exact), np.flatnonzero(~exact)
-    col_t, col_v = _tag_column(messages.take(inside), tree)
-    each_t, each_v = _tag_each(messages.take(outside).to_pylist(), tree)
-    pos = np.empty(len(exact), np.int64)
-    pos[inside], pos[outside] = np.arange(len(inside)), len(inside) + np.arange(len(outside))
-    return (pa.concat_arrays([col_t, pa.array(each_t, pa.string())]).take(pos),
-            pa.concat_arrays([col_v, pa.array(each_v, col_v.type)]).take(pos))
 
 
 def match_fitted(df: DataFrame, b_parser: Broadcast) -> DataFrame:

@@ -8,7 +8,11 @@ hook; every other caller runs Drain at its published ``depth=4, st=0.5``.
 
 Structure: level 0 groups by token count, levels 1..depth-1 route by the
 first ``depth-1`` tokens (a token containing digits routes to the ``<*>``
-child, Drain's built-in heuristic), leaves hold clusters. A new line joins
+child, Drain's built-in heuristic), leaves hold clusters. Tokens and
+digits are byte-wise: a message's tokens are its non-empty pieces between
+single spaces, and a digit is ASCII ``0``-``9``, so the column kernel
+(:func:`repro.parsing.distributed.tag_lines`) reads every UTF-8 line the
+same way. A new line joins
 the most similar leaf cluster (token-equality similarity >= ``st``,
 ``<*>`` positions excluded from the numerator) or starts a new cluster;
 joining merges mismatching positions to ``<*>``.
@@ -16,18 +20,21 @@ joining merges mismatching positions to ``<*>``.
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterable
 
 WILDCARD = "<*>"
 _MAX_CHILDREN = 100
+DIGIT = "[0-9]"  # a token with a match routes to <*>; tag_lines matches it too
+_DIGIT_RE = re.compile(DIGIT)
 
 
 def tokenize(message: str) -> list[str]:
-    return [t for t in message.strip().split(" ") if t != ""]
+    return [t for t in message.split(" ") if t]
 
 
 def _has_digit(tok: str) -> bool:
-    return any(map(str.isdigit, tok))
+    return _DIGIT_RE.search(tok) is not None
 
 
 @dataclasses.dataclass
@@ -151,17 +158,12 @@ class Drain:
     def n_templates(self) -> int:
         return len(self._clusters)
 
-    def match_tokens(self, toks: list[str]) -> Cluster | None:
-        """The cluster ``parse`` would join given a message's tokens (already
-        preprocessed and tokenized), None if it would start one; the tree is
-        not changed. ``MoniLog.parse`` tags every line this way against the
-        broadcast tree ``fit`` learned."""
-        return self._best_match(self._route(toks, create=False) or [], toks)
-
     def match_only(self, message: str) -> tuple[int, str] | None:
-        """:meth:`match_tokens` of ``message``: the id and template of the
-        cluster ``parse`` would join, None if it would start one."""
-        best = self.match_tokens(self._tokens(message))
+        """The id and template of the cluster ``parse`` would join given
+        ``message``, None if it would start one; the tree is not changed.
+        The per-line reference of :func:`repro.parsing.distributed.tag_lines`."""
+        toks = self._tokens(message)
+        best = self._best_match(self._route(toks, create=False) or [], toks)
         return None if best is None else (best.cluster_id, best.template)
 
 

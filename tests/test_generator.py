@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.loggen.generator import BASE_TS, StreamSpec, generate, raw_line
+from repro.loggen.generator import BASE_TS, StreamSpec, generate
 
 
 @pytest.fixture(scope="module")
@@ -96,17 +96,6 @@ def test_jitter_reorders_arrival():
         if (np.diff(ts) < np.timedelta64(0, "ns")).any():
             out_of_order += 1
     assert out_of_order > 0
-
-
-def test_raw_line_format(stream):
-    line = raw_line(stream.iloc[0])
-    # Fig. 2 shape: "YYYY-mm-dd HH:MM:SS,mmm - source - LEVEL - message"
-    parts = line.split(" - ", 3)
-    assert len(parts) == 4
-    assert parts[1] == stream.iloc[0]["source"]
-    assert parts[2] == stream.iloc[0]["level"]
-    assert parts[3] == stream.iloc[0]["message"]
-    pd.to_datetime(parts[0].replace(",", "."))
 
 
 def test_timestamps_after_base(stream):

@@ -71,7 +71,7 @@ def test_multiple_flows_learned():
 
 
 def test_window_flags_length(trained):
-    flags = trained.window_flags(FLOW)
+    flags = list(trained._flags(FLOW))
     assert len(flags) == len(FLOW) + 1  # + EOS position
 
 
@@ -150,4 +150,5 @@ def test_is_anomalous_equals_any_window_flag():
     d = NGramDetector(h=3, g=2).fit(flows * 5)
     seqs = flows + _random_flows(4, n=500, vocab="abcdefxy")  # x, y never trained
     assert any(d.is_anomalous(s) for s in seqs) and not all(d.is_anomalous(s) for s in seqs)
-    assert [d.is_anomalous(s) for s in seqs] == [any(d.window_flags(s)) for s in seqs]
+    # is_anomalous stops at the first flagged window; all windows give the same verdict
+    assert [d.is_anomalous(s) for s in seqs] == [any(list(d._flags(s))) for s in seqs]

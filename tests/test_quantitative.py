@@ -5,7 +5,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from repro.detect.quantitative import ValueRangeDetector, _numeric
+from repro.detect.quantitative import ValueRangeDetector, _numeric, _numeric_column
 
 
 def _train_rows(n=100, seed=0):
@@ -48,7 +48,7 @@ def test_unknown_event_passes(trained):
 def test_min_support_respected():
     d = ValueRangeDetector(min_support=50).fit(
         [("ev.rare", ["5"])] * 10)
-    assert d.n_models() == 0
+    assert d._slots == {}
     assert not d.line_flag("ev.rare", ["999999"])
 
 
@@ -78,7 +78,9 @@ def test_k_controls_sensitivity():
 
 
 def test_n_models_counts_slots(trained):
-    assert trained.n_models() == 1  # only the numeric slot
+    # one slot model: only the numeric slot
+    assert [(e, slot) for e, pairs in trained._slots.items() for slot, _ in pairs] == \
+        [("ev.send", 0)]
 
 
 def _reference_line_flag(d, event_id, values):
@@ -123,7 +125,7 @@ def test_second_fit_predicts_like_fresh_fit():
               for a in (-5000, 7, 40, 150, 99999999)]
     assert [refit.line_flag(e, v) for e, v in probes] == \
         [fresh.line_flag(e, v) for e, v in probes]
-    assert refit.n_models() == fresh.n_models() == 1
+    assert list(refit._slots) == list(fresh._slots) == ["ev.b"]
 
 
 def test_pickled_detector_flags_like_original(trained):
@@ -153,11 +155,21 @@ def test_non_finite_training_value_does_not_poison_slot():
 
 @pytest.mark.parametrize("token,value", [
     ("150", 150.0), ("-0.5", -0.5), (".5", 0.5), ("1e3", 1000.0), ("+7", 7.0),
-    ("1_000", 1000.0), (" 12 ", 12.0), ("٣", 3.0),
+    ("1_000", None), (" 12 ", None), ("٣", None), ("12\n", None),
     ("nan", None), ("inf", None), ("-Infinity", None), ("1e999", None), ("x1", None), (None, None),
 ])
 def test_numeric_is_finite_float_or_none(token, value):
     assert _numeric(token) == value
+
+
+def _odd_tokens(n, seed):
+    """Seeded tokens of number-like characters: digits, signs, points,
+    exponents, underscores, whitespace, a final newline, non-ASCII digits
+    and the words of non-finite floats."""
+    g = np.random.default_rng(seed)
+    alphabet = list("0123456789") * 3 + list("+-.eE_ \t\n\v") + ["\u0663", "\u00b2", "\uff11",
+                                                                 "nan", "inf", "Infinity"]
+    return ["".join(g.choice(alphabet, int(g.integers(0, 6)))) for _ in range(n)]
 
 
 def test_line_flags_equal_line_flag():
@@ -166,9 +178,12 @@ def test_line_flags_equal_line_flag():
         [("ev.a", ["x", str(int(g.integers(100, 200))), str(int(g.integers(1, 9)))])
          for _ in range(60)] + [("ev.b", [f"{g.normal(0.5, 0.01):.4f}"]) for _ in range(60)])
     tokens = ["150", "5000", "-0.5", ".5", "0.52", "1e3", "1_000", "nan", "inf", "-inf", "1e999",
-              "+160", "160.", "00150", "x", "", "٣", " 150", "1e-400", "9" * 400]
+              "+160", "160.", "00150", "x", "", "٣", " 150", "1e-400", "9" * 400, "5000\n"]
     lines = [(e, [a, b, c][:n]) for e in ("ev.a", "ev.b", "ev.c")
              for a in tokens for b in tokens[:6] for c in ("3", "70", "q") for n in (0, 1, 2, 3)]
+    # the modelled slots of ev.a get seeded odd tokens too
+    odd = _odd_tokens(20000, seed=6)
+    lines += [("ev.a", ["x", a, b]) for a, b in zip(odd[::2], odd[1::2])]
     events = pa.array([e for e, _ in lines], pa.string())
     variables = pa.array([v for _, v in lines], pa.list_(pa.string()))
     expect = [d.line_flag(e, v) for e, v in lines]
@@ -176,3 +191,8 @@ def test_line_flags_equal_line_flag():
     assert 0 < sum(expect) < len(expect)
     # a sliced column reads its own rows
     assert d.line_flags(events[7:], variables[7:]).tolist() == expect[7:]
+    # the column parse is the per-value one, bit for bit
+    values = tokens + odd
+    np.testing.assert_array_equal(
+        _numeric_column(pa.array(values, pa.string())),
+        [np.nan if x is None else x for x in map(_numeric, values)])

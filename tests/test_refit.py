@@ -58,7 +58,7 @@ CASES = {
                    lambda m, probe: m.predict(*probe)),
     "ngram": (NGramDetector, ([["a", "b", "c"]] * 10,), [["a", "b", "c"]],
               ([["x", "y"], ["x", "z", "y"]] * 5,), [["x", "y"], ["a", "b", "c"], ["x"]],
-              lambda m, seqs: [m.window_flags(s) for s in seqs]),
+              lambda m, _: (m._top, m.vocab)),
     "value_range": (ValueRangeDetector, ([("t", ["5"])] * 10,), [("t", ["5"])],
                     ([("t", [str(100 + i)]) for i in range(10)],),
                     [("t", ["5"]), ("t", ["104"]), ("t", ["5000"])],

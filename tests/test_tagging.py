@@ -1,6 +1,9 @@
 """Spark-free tests of line tagging (parsing.distributed.tag_lines): one
 tokenization per line must tag exactly as the per-line reference,
 ``Drain.match_only`` + ``extract_variables``."""
+import re
+
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -31,6 +34,40 @@ def _assert_tags_as_reference(messages, tree):
     return templates, variables
 
 
+# whitespace and control characters (\v and \x1c-\x1f are whitespace to
+# Python's str methods, \x85, \xa0 and \u3000 too), non-ASCII letters and
+# digits, and a newline that ends a token
+_ODD = ["\t", "\v", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",
+        "\u0663", "\u00b2", "\u00e9"]
+# structured tails: non-ASCII keys and values, odd separators and ends
+_ODD_TAILS = [" {cl\u00e9=1}", " <cl\u00e9>v</cl\u00e9>", " {k=\u00e9}", "\t{user_id=\u0663}",
+              " <a>1</a>\v", "\v{k=1}", " {k=1}\n", " {k=1}\x85", "\xa0{k=1}",
+              " {\u00e9t\u00e9=1, k=2}", " <k>\u00e9</k>\n "]
+
+
+def _perturbed(messages, seed):
+    """``messages`` with one to three seeded oddities each: an odd
+    character inserted anywhere, in place of a space or in place of every
+    ASCII digit, or an odd structured tail appended."""
+    g = np.random.default_rng(seed)
+    out = []
+    for m in messages:
+        for _ in range(int(g.integers(1, 4))):
+            odd = _ODD[int(g.integers(len(_ODD)))]
+            kind = g.random()
+            if kind < 0.2:
+                m += _ODD_TAILS[int(g.integers(len(_ODD_TAILS)))]
+            elif kind < 0.3:
+                m = re.sub("[0-9]", odd, m)
+            elif kind < 0.5:
+                m = m.replace(" ", odd, 1)
+            else:
+                i = int(g.integers(len(m) + 1))
+                m = m[:i] + odd + m[i:]
+        out.append(m)
+    return out
+
+
 @pytest.fixture(scope="module")
 def fitted_tree():
     """The tree ``MoniLog.fit`` learns from one partition of a clean stream."""
@@ -44,37 +81,47 @@ def test_unstable_stream_tags_as_reference(fitted_tree):
     test = generate(StreamSpec(n_sessions=200, n_sources=8, anomaly_rate=0.1, seed=81))
     unstable, counts = instability.inject(test, 0.2, kinds=instability.KINDS, seed=3)
     assert all(counts[k] > 0 for k in instability.KINDS)
-    templates, variables = _assert_tags_as_reference(unstable["message"].tolist(), fitted_tree)
     known = {c.template for c in fitted_tree.clusters}
-    # misses (parse errors, twisted wording) and hits with variables both occur
-    assert set(templates) - known
-    assert any(variables)
+    for messages in (unstable["message"].tolist(), _perturbed(unstable["message"], seed=8)):
+        templates, variables = _assert_tags_as_reference(messages, fitted_tree)
+        # misses (parse errors, twisted wording, oddities) and hits with
+        # variables both occur
+        assert set(templates) - known
+        assert any(variables)
 
 
 def test_sliced_input_tags_as_reference(fitted_tree):
-    # a slice starts at a non-zero offset into its buffers; the non-ASCII
-    # and structured-tail lines on both sides of the cut must be found
-    # where the slice has them
+    # a slice starts at a non-zero offset into its buffers; the structured
+    # tails on both sides of the cut must be found where the slice has them
     msgs = generate(StreamSpec(n_sessions=40, n_sources=8, seed=82))["message"].tolist()
     k = len(msgs) // 3
     for i in (1, k - 2, k, k + 3, len(msgs) - 1):
         msgs[i] = msgs[i].replace(" ", " tâche ", 1)
     for i in (0, k - 1, k + 1, len(msgs) - 2):
         msgs[i] += " {user_id=7}"
-    for lines in (msgs, [m for m in msgs if m.isascii()]):
+    for lines in (msgs, [m for m in msgs if m.isascii()], _perturbed(msgs, seed=7)):
         cut = len(lines) // 3
         sliced = pa.array(lines, pa.string()).slice(cut)
         assert sliced.offset == cut
         _assert_tags_as_reference(sliced, fitted_tree)
 
 
-def test_non_ascii_digit_routes_as_digit():
+def test_null_message_rejected(fitted_tree):
+    with pytest.raises(ValueError, match="1 of 3 log lines have no message"):
+        tag_lines(pa.array(["a b", None, "c"], pa.string()), fitted_tree)
+
+
+def test_non_ascii_digit_is_a_plain_token():
     tree = Drain()
-    tree.parse("disk ² full on node")
-    templates, _ = _assert_tags_as_reference(["disk ٣ full on node", "disk ² full on node",
-                                              "disk x full on node"], tree)
-    # "٣" and "²" are digits to str.isdigit: both route to the <*> branch
-    assert templates == ["disk ² full on node"] * 2 + ["disk x full on node"]
+    tree.parse("disk \u00b2 full on node")
+    tree.parse("disk 7 full on node")
+    templates, _ = _assert_tags_as_reference(
+        ["disk \u0663 full on node", "disk \u00b2 full on node", "disk 3 full on node",
+         "disk x full on node"], tree)
+    # a digit is ASCII 0-9: only "3" routes to the <*> branch, and "\u0663"
+    # and "\u00b2" route as themselves
+    assert templates == ["disk \u0663 full on node", "disk \u00b2 full on node",
+                         "disk 7 full on node", "disk x full on node"]
 
 
 def test_full_child_dict_falls_back_to_wildcard():
@@ -116,13 +163,13 @@ def test_spaces_tabs_and_control_characters():
     templates, variables = _assert_tags_as_reference(
         ["  disk   x full  on node  ",     # runs of spaces, leading and trailing
          "disk\tx full on node",           # a tab inside a token
-         "\x1cdisk x full on node\x1c",    # str.strip() removes \x1c, Arrow's trim would not
+         "\x1cdisk x full on node\x1c",    # \x1c stays in its tokens: a miss
          " \x1f a b c\x1e",
          "job 13 done",
          "job 13 done and then some more tokens than any template has"],
         tree)
-    assert templates[:3] == ["disk x full on node", "disk\tx full on node",
-                             "disk x full on node"]
+    assert templates[:4] == ["disk x full on node", "disk\tx full on node",
+                             "\x1cdisk x full on node\x1c", "\x1f a b c\x1e"]
     assert variables[4:] == [["13"], []]
 
 
